@@ -285,6 +285,37 @@ fn serve_reports_errors_and_keeps_running() {
 }
 
 #[test]
+fn hostile_lines_get_structured_errors_and_the_process_survives() {
+    // A nesting bomb used to overflow the stack and abort the process (exit
+    // 134) with every resident dataset; an over-long line used to be
+    // buffered whole.  Both now get one `invalid_request` each.
+    let path = fixture();
+    let script = format!(
+        "{}\n{{\"cmd\":\"stats\",\"pad\":\"{}\"}}\n{{\"id\":\"ok\",\"cmd\":\"load\",\"path\":\"{}\"}}\n{}\n",
+        "[".repeat(200_000),
+        " ".repeat(2 << 20),
+        path.to_str().unwrap(),
+        r#"{"id":"bye","cmd":"shutdown"}"#,
+    );
+    let responses = serve_session(&script);
+    assert_eq!(responses.len(), 4);
+    for (resp, what) in responses[..2]
+        .iter()
+        .zip(["invalid JSON at byte 128: nesting", "exceeds 1048576 bytes"])
+    {
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(
+            resp.get("code").and_then(Json::as_str),
+            Some("invalid_request")
+        );
+        let error = resp.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains(what), "{what:?} not in {error:?}");
+    }
+    assert_ok(by_id(&responses, "ok"));
+    assert_ok(by_id(&responses, "bye"));
+}
+
+#[test]
 fn serve_subcommand_via_run_points_at_the_binary() {
     // The buffered library entry point cannot stream; it must explain that
     // rather than misbehave.

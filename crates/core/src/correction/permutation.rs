@@ -361,9 +361,13 @@ impl PartialPermutationStats {
         out
     }
 
-    /// Decodes the [`to_bytes`](Self::to_bytes) form, validating the header
-    /// against the byte length and the range invariants so a truncated or
-    /// corrupted shard is rejected instead of silently corrupting a merge.
+    /// Decodes the [`to_bytes`](Self::to_bytes) form.  The bytes come from
+    /// another process, so nothing in them is trusted: the header is checked
+    /// against the byte length with overflow-checked arithmetic, the range
+    /// against the counts, every minimum must be a probability in `[0, 1]`,
+    /// the pool size must be `(end - start) · n_rules`, and no pooled count
+    /// may exceed it.  A corrupt shard is rejected here instead of
+    /// corrupting a merge or panicking a later decision.
     pub fn from_bytes(bytes: &[u8]) -> Result<PartialPermutationStats, MergeError> {
         const HEADER_WORDS: usize = 4;
         if !bytes.len().is_multiple_of(8) || bytes.len() < HEADER_WORDS * 8 {
@@ -372,30 +376,58 @@ impl PartialPermutationStats {
                 bytes.len()
             )));
         }
-        let start = read_word(bytes, 0) as usize;
-        let end = read_word(bytes, 1) as usize;
-        let n_minima = read_word(bytes, 2) as usize;
-        let n_rules = read_word(bytes, 3) as usize;
-        let expected = HEADER_WORDS * 8 + encoded_stats_bytes(n_minima, n_rules);
-        if bytes.len() != expected {
+        let header_word = |i: usize| {
+            usize::try_from(read_word(bytes, i)).map_err(|_| {
+                MergeError(format!(
+                    "encoded shard header word {i} does not fit in usize"
+                ))
+            })
+        };
+        let (start, end) = (header_word(0)?, header_word(1)?);
+        let (n_minima, n_rules) = (header_word(2)?, header_word(3)?);
+        // Header, minima, counts and the pool-size word.
+        let implied_words = n_minima
+            .checked_add(n_rules)
+            .and_then(|n| n.checked_add(HEADER_WORDS + 1));
+        if implied_words != Some(bytes.len() / 8) {
             return Err(MergeError(format!(
-                "encoded shard is {} bytes, header implies {expected}",
+                "encoded shard is {} bytes, header implies {n_minima} minima and {n_rules} counts",
                 bytes.len()
             )));
         }
-        if start > end || (n_minima != end - start && !(n_rules == 0 && n_minima == 0)) {
-            return Err(MergeError(format!(
-                "encoded shard header is inconsistent: range {start}..{end} \
-                 with {n_minima} minima over {n_rules} rules"
-            )));
-        }
+        // An empty rule set ships no minima; otherwise one per permutation.
+        let n_permutations = end
+            .checked_sub(start)
+            .filter(|&n| n_minima == if n_rules == 0 { 0 } else { n })
+            .ok_or_else(|| {
+                MergeError(format!(
+                    "encoded shard header is inconsistent: range {start}..{end} \
+                     with {n_minima} minima over {n_rules} rules"
+                ))
+            })?;
         let minima: Vec<f64> = (0..n_minima)
             .map(|i| f64::from_bits(read_word(bytes, HEADER_WORDS + i)))
             .collect();
+        if let Some(bad) = minima.iter().find(|m| !(0.0..=1.0).contains(*m)) {
+            return Err(MergeError(format!(
+                "encoded shard carries minimum p-value {bad}, outside [0, 1]"
+            )));
+        }
         let pool_counts_leq: Vec<u64> = (0..n_rules)
             .map(|i| read_word(bytes, HEADER_WORDS + n_minima + i))
             .collect();
         let pool_size = read_word(bytes, HEADER_WORDS + n_minima + n_rules);
+        if (n_permutations as u64).checked_mul(n_rules as u64) != Some(pool_size) {
+            return Err(MergeError(format!(
+                "encoded shard pool size {pool_size} is not {n_rules} rules \
+                 times the range {start}..{end}"
+            )));
+        }
+        if let Some(bad) = pool_counts_leq.iter().find(|&&c| c > pool_size) {
+            return Err(MergeError(format!(
+                "encoded shard pooled count {bad} exceeds its pool size {pool_size}"
+            )));
+        }
         Ok(PartialPermutationStats {
             start,
             end,
@@ -1610,6 +1642,84 @@ mod tests {
         let mut header_lies = bytes.clone();
         header_lies[16] ^= 0xff; // minima count no longer matches the length
         assert!(PartialPermutationStats::from_bytes(&header_lies).is_err());
+    }
+
+    /// Overwrites word `i` of an encoded shard.
+    fn with_word(bytes: &[u8], i: usize, word: u64) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[i * 8..i * 8 + 8].copy_from_slice(&word.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn hostile_shard_values_and_forged_headers_are_rejected() {
+        let m = mined_with_rule(0.9, 35);
+        let partial = perm(16)
+            .collect_stats_range(&m, None, &CancelToken::none(), 8, 16)
+            .unwrap();
+        let bytes = partial.to_bytes();
+        let n_rules = partial.n_rules();
+        assert!(n_rules > 0);
+        let (first_min, first_count, pool_word) = (4, 4 + 8, 4 + 8 + n_rules);
+        let rejects = |bytes: &[u8], what: &str| {
+            let err = PartialPermutationStats::from_bytes(bytes).unwrap_err();
+            assert!(err.0.contains(what), "{what:?} not in {err}");
+        };
+        // Minima that are not probabilities: the NaN would otherwise reach
+        // `EmpiricalNull::from_minima(..).expect(..)` in `fwer_from_stats`.
+        for bad in [f64::NAN, -0.5, 1.5, f64::INFINITY] {
+            rejects(
+                &with_word(&bytes, first_min, bad.to_bits()),
+                "outside [0, 1]",
+            );
+        }
+        // Pool size other than (end - start) * n_rules, and counts above it.
+        let pool = partial.pool_size;
+        for bad in [0, pool - 1, pool + 1, u64::MAX] {
+            rejects(&with_word(&bytes, pool_word, bad), "pool size");
+        }
+        rejects(
+            &with_word(&bytes, first_count, pool + 1),
+            "exceeds its pool size",
+        );
+        // Counts whose sum overflows `usize` (the length check used to
+        // compute it unchecked), and words past `usize` on any target.
+        rejects(&with_word(&bytes, 2, u64::MAX), "header implies");
+        rejects(
+            &with_word(&with_word(&bytes, 2, u64::MAX / 2), 3, u64::MAX / 2),
+            "header implies",
+        );
+        // Minima and range forged so that the byte size, computed in
+        // wrapping arithmetic, equals the real length: 2^61 extra words are
+        // 2^64 bytes, which wrap to nothing.
+        let words = (bytes.len() / 8) as u64;
+        let forged_minima = (1u64 << 61) + words - 5;
+        let forged = with_word(&with_word(&bytes, 3, 0), 2, forged_minima);
+        rejects(&with_word(&forged, 1, 8 + forged_minima), "header implies");
+        // A reversed range, and minima shipped for an empty rule set.
+        rejects(&with_word(&with_word(&bytes, 0, 16), 1, 8), "inconsistent");
+        let empty = PartialPermutationStats {
+            start: 0,
+            end: 8,
+            minima: Vec::new(),
+            pool_counts_leq: Vec::new(),
+            pool_size: 0,
+        };
+        assert_eq!(
+            PartialPermutationStats::from_bytes(&empty.to_bytes()).unwrap(),
+            empty
+        );
+        let mut lying = empty.to_bytes();
+        lying.truncate(32);
+        lying.extend_from_slice(&[0; 9 * 8]); // 8 minima + the pool size
+        rejects(&with_word(&lying, 2, 8), "inconsistent");
+        // Boundary minima are probabilities and survive the round trip.
+        for edge in [0.0f64, 1.0] {
+            let decoded =
+                PartialPermutationStats::from_bytes(&with_word(&bytes, first_min, edge.to_bits()))
+                    .unwrap();
+            assert_eq!(decoded.minima[0], edge);
+        }
     }
 
     #[test]

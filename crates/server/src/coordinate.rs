@@ -260,38 +260,52 @@ impl NullExecutor for RemoteExecutor {
         let resp = stream
             .request(&line)
             .map_err(|e| ShardError::Failed(format!("request: {e}")))?;
-        if resp.get("ok").and_then(Json::as_bool) != Some(true) {
-            let detail = resp
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown error")
-                .to_string();
-            return Err(ShardError::Failed(detail));
-        }
-        let payload = resp
-            .get("payload")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ShardError::Failed("response is missing \"payload\"".to_string()))?;
-        let bytes = decode_hex(payload).map_err(ShardError::Failed)?;
-        let partial =
-            PartialPermutationStats::from_bytes(&bytes).map_err(|e| ShardError::Failed(e.0))?;
-        if partial.start() != start || partial.end() != end {
-            return Err(ShardError::Failed(format!(
-                "worker answered range {}..{} for request {start}..{end}",
-                partial.start(),
-                partial.end()
-            )));
-        }
-        if partial.n_rules() != self.expected_rules {
-            return Err(ShardError::Failed(format!(
-                "worker mined {} rules where the coordinator mined {} — \
-                 dataset or mining key mismatch",
-                partial.n_rules(),
-                self.expected_rules
-            )));
-        }
-        Ok(partial)
+        decode_shard_response(&resp, start, end, self.expected_rules)
     }
+}
+
+/// Turns a worker's `perm_shard` answer for `start..end` into its partial
+/// null.  The answer is untrusted: an error response, a missing or non-hex
+/// payload, a payload [`PartialPermutationStats::from_bytes`] rejects, or a
+/// different range or rule count all become [`ShardError::Failed`], so the
+/// range is re-dispatched instead of reaching the merge.
+fn decode_shard_response(
+    resp: &Json,
+    start: usize,
+    end: usize,
+    expected_rules: usize,
+) -> Result<PartialPermutationStats, ShardError> {
+    if resp.get("ok").and_then(Json::as_bool) != Some(true) {
+        let detail = resp
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap_or("unknown error")
+            .to_string();
+        return Err(ShardError::Failed(detail));
+    }
+    let payload = resp
+        .get("payload")
+        .and_then(Json::as_str)
+        .ok_or_else(|| ShardError::Failed("response is missing \"payload\"".to_string()))?;
+    let bytes = decode_hex(payload).map_err(ShardError::Failed)?;
+    let partial =
+        PartialPermutationStats::from_bytes(&bytes).map_err(|e| ShardError::Failed(e.0))?;
+    if partial.start() != start || partial.end() != end {
+        return Err(ShardError::Failed(format!(
+            "worker answered range {}..{} for request {start}..{end}",
+            partial.start(),
+            partial.end()
+        )));
+    }
+    if partial.n_rules() != expected_rules {
+        return Err(ShardError::Failed(format!(
+            "worker mined {} rules where the coordinator mined {} — \
+             dataset or mining key mismatch",
+            partial.n_rules(),
+            expected_rules
+        )));
+    }
+    Ok(partial)
 }
 
 /// Splits `0..n_permutations` into contiguous ranges whose starts are
@@ -659,6 +673,7 @@ mod tests {
     use super::*;
     use crate::proto::{handle_line, tests::fixture_path, ServerState};
     use crate::transport::{serve_listener, ServerConfig};
+    use proptest::prelude::*;
     use sigrule::engine::Loader;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{mpsc, Arc};
@@ -803,6 +818,174 @@ mod tests {
         assert!(report.lost_workers[0].contains("tcp:dead:1"));
         assert!(report.retries >= 1, "the failed range was re-dispatched");
         assert_eq!(report.shards_remote, 0);
+    }
+
+    /// A worker that computes each range honestly and then corrupts its
+    /// encoded answer, which the coordinator decodes exactly as it decodes a
+    /// remote `perm_shard` response.  It lifts `gate` after its first range,
+    /// so the gated local executor cannot take every range before it.
+    struct CorruptShard<'a> {
+        inner: LocalExecutor<'a>,
+        corrupt: fn(&mut Vec<u8>),
+        expected_rules: usize,
+        gate: Arc<AtomicBool>,
+    }
+
+    impl NullExecutor for CorruptShard<'_> {
+        fn label(&self) -> String {
+            "tcp:corrupt:1".to_string()
+        }
+        fn is_remote(&self) -> bool {
+            true
+        }
+        fn run_range(
+            &self,
+            start: usize,
+            end: usize,
+            cancel: &CancelToken,
+        ) -> Result<PartialPermutationStats, ShardError> {
+            let mut bytes = self.inner.run_range(start, end, cancel)?.to_bytes();
+            (self.corrupt)(&mut bytes);
+            let mut resp = ObjectBuilder::new();
+            resp.boolean("ok", true)
+                .string("payload", &encode_hex(&bytes));
+            let resp = Json::parse(&resp.finish()).unwrap();
+            let decoded = decode_shard_response(&resp, start, end, self.expected_rules);
+            self.gate.store(true, Ordering::SeqCst);
+            decoded
+        }
+    }
+
+    /// Overwrites word `i` of an encoded shard (header words 0..4, then the
+    /// minima, the counts and the pool size).
+    fn set_word(bytes: &mut [u8], i: usize, word: u64) {
+        bytes[i * 8..i * 8 + 8].copy_from_slice(&word.to_le_bytes());
+    }
+
+    #[test]
+    fn hostile_corrupt_shard_is_redispatched_and_the_null_stays_bit_identical() {
+        let mined = toy_mined();
+        let correction = PermutationCorrection::new(48).with_seed(5);
+        let tables = correction.build_shared_tables(&mined);
+        let serial = correction.collect_stats(&mined);
+        let n_rules = mined.rules().len();
+        assert!(n_rules > 0);
+
+        let corruptions: [fn(&mut Vec<u8>); 5] = [
+            // A NaN minimum: merged, it would panic `fwer_from_stats`.
+            |b| set_word(b, 4, f64::NAN.to_bits()),
+            // A minimum that is no probability.
+            |b| set_word(b, 4, 1.5f64.to_bits()),
+            // A pool size that is not (end - start) * n_rules.
+            |b| {
+                let last = b.len() / 8 - 1;
+                set_word(b, last, 1);
+            },
+            // A pooled count above the pool size.
+            |b| {
+                let n_minima = u64::from_le_bytes(b[16..24].try_into().unwrap()) as usize;
+                set_word(b, 4 + n_minima, u64::MAX);
+            },
+            // Forged counts whose byte size overflows.
+            |b| {
+                set_word(b, 2, u64::MAX / 2);
+                set_word(b, 3, u64::MAX / 2);
+            },
+        ];
+        for corrupt in corruptions {
+            let gate = Arc::new(AtomicBool::new(false));
+            let local = GatedLocal {
+                inner: LocalExecutor::new(correction.clone(), &mined, Some(&tables)),
+                gate: gate.clone(),
+            };
+            let corrupter = CorruptShard {
+                inner: LocalExecutor::new(correction.clone(), &mined, Some(&tables)),
+                corrupt,
+                expected_rules: n_rules,
+                gate,
+            };
+            let executors: Vec<&dyn NullExecutor> = vec![&local, &corrupter];
+            let (merged, report) = scatter_collect(&executors, 48, &CancelToken::none()).unwrap();
+            assert_eq!(merged, serial, "a corrupt shard must not change the null");
+            assert_eq!(report.lost_workers.len(), 1, "{report:?}");
+            assert!(report.lost_workers[0].contains("tcp:corrupt:1"));
+            assert!(report.retries >= 1, "the corrupt range was re-dispatched");
+            assert_eq!(report.shards_remote, 0);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn hostile_shard_decode_never_panics_on_arbitrary_bytes(
+            raw in prop::collection::vec(0..=255u8, 0..160),
+        ) {
+            let _ = PartialPermutationStats::from_bytes(&raw);
+            let _ = decode_shard_response(
+                &Json::String(String::from_utf8_lossy(&raw).into_owned()),
+                0,
+                8,
+                1,
+            );
+        }
+
+        #[test]
+        fn hostile_mutated_shards_decode_only_to_valid_nulls(
+            edits in prop::collection::vec((0..16usize, 0..8usize, 0..=u64::MAX), 1..4),
+            cut in 0..3usize,
+        ) {
+            // A real two-rule shard over permutations 0..8, then up to three
+            // word overwrites and an optional truncation or extension.
+            let honest = PartialPermutationStats::from_bytes(&{
+                let mut b = Vec::new();
+                for word in [0u64, 8, 8, 2] {
+                    b.extend_from_slice(&word.to_le_bytes());
+                }
+                for i in 0..8u64 {
+                    b.extend_from_slice(&(0.125 * i as f64).to_bits().to_le_bytes());
+                }
+                for word in [3u64, 16, 16] {
+                    b.extend_from_slice(&word.to_le_bytes());
+                }
+                b
+            })
+            .unwrap();
+            let mut bytes = honest.to_bytes();
+            let words = bytes.len() / 8;
+            for &(word, kind, random) in &edits {
+                let value = [
+                    0,
+                    1,
+                    u64::MAX,
+                    f64::NAN.to_bits(),
+                    2.0f64.to_bits(),
+                    (-0.0f64).to_bits(),
+                    random,
+                    random % 64,
+                ][kind];
+                set_word(&mut bytes, word % words, value);
+            }
+            match cut {
+                1 => bytes.truncate(bytes.len() - 8),
+                2 => bytes.extend_from_slice(&[0; 8]),
+                _ => {}
+            }
+            if let Ok(partial) = PartialPermutationStats::from_bytes(&bytes) {
+                // Whatever decodes is a null the decisions can consume (the
+                // merge fails only on a range not starting at 0).
+                let merged = PermutationStats::merge(std::slice::from_ref(&partial));
+                if let Ok(stats) = merged {
+                    prop_assert!(stats.minima.iter().all(|m| (0.0..=1.0).contains(m)));
+                    prop_assert!(stats.pool_counts_leq.iter().all(|&c| c <= stats.pool_size));
+                    prop_assert_eq!(
+                        stats.pool_size,
+                        ((partial.end() - partial.start()) * partial.n_rules()) as u64
+                    );
+                }
+                prop_assert_eq!(partial.to_bytes(), bytes);
+            }
+        }
     }
 
     /// Boots a real `serve_listener` worker on an ephemeral port and

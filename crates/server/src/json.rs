@@ -45,12 +45,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts.  Protocol
+/// requests nest two or three levels; a deeper document is answered with a
+/// [`JsonError`] at the offset of the first bracket past the limit.
+pub const MAX_NESTING_DEPTH: usize = 128;
+
 impl Json {
-    /// Parses one JSON document; trailing non-whitespace is an error.
+    /// Parses one JSON document; trailing non-whitespace is an error, and so
+    /// is nesting deeper than [`MAX_NESTING_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError {
@@ -168,7 +174,7 @@ fn expect_literal(
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(error(*pos, "unexpected end of input")),
@@ -176,13 +182,27 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         Some(b't') => expect_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => expect_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'"') => parse_string(bytes, pos).map(Json::String),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'{') => parse_object(bytes, pos),
+        Some(b'[') => parse_array(bytes, pos, depth),
+        Some(b'{') => parse_object(bytes, pos, depth),
         Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
         Some(c) => Err(error(
             *pos,
             format!("unexpected character {:?}", *c as char),
         )),
+    }
+}
+
+/// Rejects an array or object opening at `pos` when `depth` containers
+/// already enclose it.  The parser recurses once per level, so this bound is
+/// what keeps a line of `[[[[...` from overflowing the thread's stack.
+fn check_depth(pos: usize, depth: usize) -> Result<(), JsonError> {
+    if depth >= MAX_NESTING_DEPTH {
+        Err(error(
+            pos,
+            format!("nesting deeper than {MAX_NESTING_DEPTH} levels"),
+        ))
+    } else {
+        Ok(())
     }
 }
 
@@ -207,13 +227,26 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run of plain characters up to the next delimiter as one
+        // slice.  Both delimiters are ASCII, so in UTF-8 input every run
+        // starts and ends on a character boundary and is validated once:
+        // the whole string costs time linear in its length.
+        let run_len = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - *pos);
+        let run = std::str::from_utf8(&bytes[*pos..*pos + run_len])
+            .map_err(|e| error(*pos + e.valid_up_to(), "invalid UTF-8"))?;
+        out.push_str(run);
+        *pos += run_len;
         match bytes.get(*pos) {
             None => return Err(error(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // A backslash: the run stopped at one of the two delimiters.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -246,20 +279,13 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| error(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty by construction");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     debug_assert_eq!(bytes[*pos], b'[');
+    check_depth(*pos, depth)?;
     *pos += 1;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -268,7 +294,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth + 1)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -281,8 +307,9 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     debug_assert_eq!(bytes[*pos], b'{');
+    check_depth(*pos, depth)?;
     *pos += 1;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -301,7 +328,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             return Err(error(*pos, "expected ':' after key"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth + 1)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -376,6 +403,195 @@ impl ObjectBuilder {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The character-by-character string parser the run-copying
+    /// [`parse_string`] replaced, kept as the reference it must agree with:
+    /// same value, same end position, same error at the same offset.  It
+    /// re-validates the rest of the input for every plain character, so it
+    /// is quadratic in the string's length.
+    fn reference_parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+        debug_assert_eq!(bytes[*pos], b'"');
+        *pos += 1;
+        let mut out = String::new();
+        loop {
+            match bytes.get(*pos) {
+                None => return Err(error(*pos, "unterminated string")),
+                Some(b'"') => {
+                    *pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    *pos += 1;
+                    match bytes.get(*pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{0008}'),
+                        Some(b'f') => out.push('\u{000c}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            let hex = bytes
+                                .get(*pos + 1..*pos + 5)
+                                .ok_or_else(|| error(*pos, "truncated \\u escape"))?;
+                            let hex = std::str::from_utf8(hex)
+                                .map_err(|_| error(*pos, "non-ASCII \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| error(*pos, format!("bad \\u escape {hex:?}")))?;
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            *pos += 4;
+                        }
+                        other => {
+                            return Err(error(
+                                *pos,
+                                format!("unknown escape {:?}", other.map(|&b| b as char)),
+                            ))
+                        }
+                    }
+                    *pos += 1;
+                }
+                Some(_) => {
+                    let rest = std::str::from_utf8(&bytes[*pos..])
+                        .map_err(|_| error(*pos, "invalid UTF-8"))?;
+                    let c = rest.chars().next().expect("non-empty by construction");
+                    out.push(c);
+                    *pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// Pieces of well-formed string bodies: ASCII, 2/3/4-byte UTF-8, raw
+    /// control characters, and every escape (including `\u` forms for
+    /// ASCII, multi-byte and surrogate code points).
+    const VALID_PIECES: &[&str] = &[
+        "a", "Z", "0", " ", "é", "€", "𝄞", "ß", "\t", "\n", "\\\"", "\\\\", "\\/", "\\b", "\\f",
+        "\\n", "\\r", "\\t", "\\u0041", "\\u00e9", "\\u20AC", "\\uD834", "\\uffff",
+    ];
+
+    /// Pieces that break a string body: unknown and truncated escapes,
+    /// non-hex and non-ASCII `\u` digits, a stray quote, a lone backslash.
+    const MALFORMED_PIECES: &[&str] = &[
+        "\\x", "\\u12", "\\u12G4", "\\u+123", "\\u0é1", "\\uéé", "\"", "\\", "\\u",
+    ];
+
+    fn string_body(pieces: &'static [&'static str], len: usize) -> impl Strategy<Value = String> {
+        prop::collection::vec(0..pieces.len(), 0..len)
+            .prop_map(move |picks| picks.iter().map(|&i| pieces[i]).collect())
+    }
+
+    /// A string parser's result and its end position.
+    type Parsed = (Result<String, JsonError>, usize);
+
+    /// Runs the new and the reference string parser on `input` (which must
+    /// start with `"`).
+    fn both_parsers(input: &str) -> (Parsed, Parsed) {
+        let (mut new_pos, mut ref_pos) = (0, 0);
+        let new = parse_string(input.as_bytes(), &mut new_pos);
+        let reference = reference_parse_string(input.as_bytes(), &mut ref_pos);
+        ((new, new_pos), (reference, ref_pos))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn run_copying_string_parser_matches_the_reference_on_valid_input(
+            body in string_body(VALID_PIECES, 40),
+        ) {
+            let input = format!("\"{body}\"");
+            let (new, reference) = both_parsers(&input);
+            prop_assert_eq!(&new, &reference, "input {:?}", input);
+            let value = reference.0.unwrap();
+            prop_assert_eq!(Json::parse(&input), Ok(Json::String(value.clone())));
+            // Inside a document, too: the string is a key and a value.
+            let doc = format!("{{{input}:[{input}]}}");
+            prop_assert_eq!(
+                Json::parse(&doc),
+                Ok(Json::Object(vec![(value.clone(), Json::Array(vec![Json::String(value)]))]))
+            );
+        }
+
+        #[test]
+        fn run_copying_string_parser_matches_the_reference_on_malformed_input(
+            pieces in (string_body(VALID_PIECES, 12), string_body(MALFORMED_PIECES, 3), string_body(VALID_PIECES, 12)),
+            closed in 0..2u8,
+        ) {
+            let (head, bad, tail) = pieces;
+            let close = if closed == 1 { "\"" } else { "" };
+            let input = format!("\"{head}{bad}{tail}{close}");
+            let (new, reference) = both_parsers(&input);
+            prop_assert_eq!(&new, &reference, "input {:?}", input);
+            if let Err(expected) = reference.0 {
+                prop_assert_eq!(Json::parse(&input), Err(expected));
+            }
+        }
+
+        #[test]
+        fn hostile_json_parse_never_panics_on_arbitrary_bytes(
+            raw in prop::collection::vec((0..64usize, 0..=255u8), 0..300),
+        ) {
+            // Mostly JSON punctuation and literal letters (so the parser gets
+            // deep into documents), with arbitrary bytes mixed in.
+            const VOCAB: &[u8] = b"{}[]{}[]\"\"\":,\\ -.0123456789eEtrufalsn";
+            let bytes: Vec<u8> = raw
+                .iter()
+                .map(|&(pick, byte)| VOCAB.get(pick).copied().unwrap_or(byte))
+                .collect();
+            let text = String::from_utf8_lossy(&bytes);
+            if let Err(e) = Json::parse(&text) {
+                prop_assert!(e.offset <= text.len(), "offset {} past the input", e.offset);
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert_eq!(err.offset, MAX_NESTING_DEPTH);
+        assert!(err.message.contains("nesting deeper than 128"), "{err}");
+        let objects = "{\"k\":".repeat(200_000);
+        assert_eq!(
+            Json::parse(&objects).unwrap_err().offset,
+            MAX_NESTING_DEPTH * 5
+        );
+
+        // The limit itself is accepted; one more level is not.
+        let at_limit = format!(
+            "{}{}",
+            "[".repeat(MAX_NESTING_DEPTH),
+            "]".repeat(MAX_NESTING_DEPTH)
+        );
+        assert!(Json::parse(&at_limit).is_ok());
+        let past_limit = format!("[{at_limit}]");
+        assert_eq!(
+            Json::parse(&past_limit).unwrap_err().offset,
+            MAX_NESTING_DEPTH
+        );
+    }
+
+    #[test]
+    fn a_four_megabyte_string_line_parses_in_linear_time() {
+        // The size of a large shard answer's hex payload.  The old
+        // character-by-character parser needed minutes for this line; the
+        // run-copying one needs a few milliseconds, so the bound is loose.
+        let payload: String = "0123456789abcdef".repeat(4 << 16);
+        let line = format!("{{\"ok\":true,\"payload\":\"{payload}\"}}");
+        let began = std::time::Instant::now();
+        let parsed = Json::parse(&line).unwrap();
+        let elapsed = began.elapsed();
+        assert_eq!(
+            parsed.get("payload").and_then(Json::as_str),
+            Some(payload.as_str())
+        );
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "parsing a 4 MB line took {elapsed:?}"
+        );
+    }
 
     #[test]
     fn parses_protocol_shaped_requests() {

@@ -297,6 +297,30 @@ impl ConnDriver {
         }
     }
 
+    /// Drives one framed line: a request, or the framer's rejection of an
+    /// over-long or non-UTF-8 line (answered with its error, no `id`).
+    fn process_frame(&mut self, frame: Result<String, ServerError>) -> LineOutcome {
+        match frame {
+            Ok(line) => self.process_line(&line),
+            Err(error) => {
+                if !write_line(&self.out, &error_line(None, &error)) {
+                    self.cancel.cancel();
+                }
+                LineOutcome::Continue
+            }
+        }
+    }
+
+    /// Drives every complete line buffered in `framer`.
+    fn drain_frames(&mut self, framer: &mut LineFramer) -> LineOutcome {
+        while let Some(frame) = framer.next_line() {
+            if self.process_frame(frame) == LineOutcome::Shutdown {
+                return LineOutcome::Shutdown;
+            }
+        }
+        LineOutcome::Continue
+    }
+
     fn join_workers(&mut self) {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -307,6 +331,119 @@ impl ConnDriver {
 impl Drop for ConnDriver {
     fn drop(&mut self) {
         self.join_workers();
+    }
+}
+
+/// Longest request line the server buffers, in bytes without its newline.
+/// Protocol requests are a few hundred bytes (`load` takes a path, not
+/// data), so a longer line is answered with one `invalid_request` and
+/// skipped.  Responses are not capped: a `perm_shard` answer grows with the
+/// rule count.
+const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
+/// Splits an incoming byte stream into request lines: the one framing the
+/// stdin front and every socket connection share.  Bytes are pushed as they
+/// arrive (a socket read may time out mid-line without losing any), and
+/// each byte is scanned for `'\n'` once.  A line longer than `max` bytes is
+/// reported once, as soon as it is known to be too long, and its remaining
+/// bytes are dropped as they arrive, so the buffer never holds much more
+/// than `max` bytes plus one read.
+struct LineFramer {
+    buf: Vec<u8>,
+    /// First byte of `buf` not yet returned in a line.
+    start: usize,
+    /// `buf[start..scanned]` holds no newline.
+    scanned: usize,
+    /// An over-long line was reported; drop bytes through its newline.
+    skipping: bool,
+    max: usize,
+}
+
+impl LineFramer {
+    fn new(max: usize) -> Self {
+        LineFramer {
+            buf: Vec::new(),
+            start: 0,
+            scanned: 0,
+            skipping: false,
+            max,
+        }
+    }
+
+    fn push(&mut self, bytes: &[u8]) {
+        if self.start > 0 {
+            self.buf.drain(..self.start);
+            self.scanned -= self.start;
+            self.start = 0;
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The next complete line (without its line ending), an error for an
+    /// over-long or non-UTF-8 line, or `None` when no complete line is
+    /// buffered.
+    fn next_line(&mut self) -> Option<Result<String, ServerError>> {
+        loop {
+            let Some(offset) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') else {
+                self.scanned = self.buf.len();
+                // One byte of slack: the line may still end in "\r\n".
+                let too_long = !self.skipping && self.buf.len() - self.start > self.max + 1;
+                if self.skipping || too_long {
+                    // Drop the over-long line's bytes; report it only once.
+                    self.buf.clear();
+                    self.start = 0;
+                    self.scanned = 0;
+                    self.skipping = true;
+                }
+                return too_long.then(|| Err(self.too_long()));
+            };
+            let end = self.scanned + offset;
+            let line = self.start..end;
+            self.start = end + 1;
+            self.scanned = end + 1;
+            if std::mem::take(&mut self.skipping) {
+                continue;
+            }
+            return Some(self.decode(line));
+        }
+    }
+
+    /// At end of input: the final line if it had no newline.
+    fn finish(&mut self) -> Option<Result<String, ServerError>> {
+        if self.skipping || self.start == self.buf.len() {
+            return None;
+        }
+        let line = self.start..self.buf.len();
+        self.start = self.buf.len();
+        self.scanned = self.buf.len();
+        Some(self.decode(line))
+    }
+
+    fn decode(&self, line: std::ops::Range<usize>) -> Result<String, ServerError> {
+        let bytes = &self.buf[line];
+        let bytes = bytes.strip_suffix(b"\r").unwrap_or(bytes);
+        if bytes.len() > self.max {
+            return Err(self.too_long());
+        }
+        std::str::from_utf8(bytes).map(str::to_owned).map_err(|e| {
+            ServerError::new(
+                ErrorCode::InvalidRequest,
+                format!(
+                    "request line is not valid UTF-8 (invalid byte at offset {})",
+                    e.valid_up_to()
+                ),
+            )
+        })
+    }
+
+    fn too_long(&self) -> ServerError {
+        ServerError::new(
+            ErrorCode::InvalidRequest,
+            format!(
+                "request line exceeds {} bytes; it was skipped through its newline",
+                self.max
+            ),
+        )
     }
 }
 
@@ -330,9 +467,25 @@ where
 {
     let server = Arc::new(SharedServer::new(options));
     let mut conn = ConnDriver::new(server, Box::new(writer));
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if conn.process_line(&line) == LineOutcome::Shutdown {
+    let mut framer = LineFramer::new(MAX_REQUEST_LINE_BYTES);
+    let mut reader = reader;
+    loop {
+        let n = match reader.fill_buf() {
+            Ok([]) => break,
+            Ok(chunk) => {
+                framer.push(chunk);
+                chunk.len()
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        };
+        reader.consume(n);
+        if conn.drain_frames(&mut framer) == LineOutcome::Shutdown {
+            return 0;
+        }
+    }
+    if let Some(frame) = framer.finish() {
+        if conn.process_frame(frame) == LineOutcome::Shutdown {
             return 0;
         }
     }
@@ -450,26 +603,14 @@ fn handle_socket_connection<S: SocketStream>(server: Arc<SharedServer>, stream: 
     }
     let mut conn = ConnDriver::new(server.clone(), Box::new(write_half));
     let mut reader = stream;
-    // Hand-rolled line framing: `BufRead::read_line` discards bytes already
-    // consumed when a read times out mid-line, so accumulate raw bytes and
-    // split on '\n' ourselves — a timeout then just means "check the
+    // The framer accumulates raw bytes rather than using
+    // `BufRead::read_line`, which discards bytes already consumed when a
+    // read times out mid-line: here a timeout just means "check the
     // shutdown flag and keep reading".
-    let mut acc: Vec<u8> = Vec::new();
+    let mut framer = LineFramer::new(MAX_REQUEST_LINE_BYTES);
     let mut chunk = [0u8; 8192];
-    // Splits complete lines out of `acc` and drives them; borrows nothing
-    // between calls so the read loop stays simple.
-    fn drain_lines(acc: &mut Vec<u8>, conn: &mut ConnDriver) -> LineOutcome {
-        while let Some(pos) = acc.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = acc.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line);
-            if conn.process_line(line.trim_end_matches(['\n', '\r'])) == LineOutcome::Shutdown {
-                return LineOutcome::Shutdown;
-            }
-        }
-        LineOutcome::Continue
-    }
     loop {
-        if drain_lines(&mut acc, &mut conn) == LineOutcome::Shutdown {
+        if conn.drain_frames(&mut framer) == LineOutcome::Shutdown {
             return;
         }
         if server.shutdown.load(SeqCst) {
@@ -478,21 +619,20 @@ fn handle_socket_connection<S: SocketStream>(server: Arc<SharedServer>, stream: 
             // `process_line`) instead of a silent close, so no client hangs
             // on a dropped line.
             if let Ok(n) = reader.read(&mut chunk) {
-                acc.extend_from_slice(&chunk[..n]);
+                framer.push(&chunk[..n]);
             }
-            let _ = drain_lines(&mut acc, &mut conn);
+            let _ = conn.drain_frames(&mut framer);
             return;
         }
         match reader.read(&mut chunk) {
             Ok(0) => {
                 // EOF; a trailing unterminated line still gets an answer.
-                if !acc.is_empty() {
-                    let line = String::from_utf8_lossy(&acc).into_owned();
-                    let _ = conn.process_line(line.trim_end_matches('\r'));
+                if let Some(frame) = framer.finish() {
+                    let _ = conn.process_frame(frame);
                 }
                 return;
             }
-            Ok(n) => acc.extend_from_slice(&chunk[..n]),
+            Ok(n) => framer.push(&chunk[..n]),
             Err(e)
                 if matches!(
                     e.kind(),
@@ -672,6 +812,232 @@ mod tests {
             .collect();
         ids.sort();
         assert_eq!(ids, vec!["a", "b", "c", "d"]);
+    }
+
+    /// Frames `chunks` pushed one by one, then the end of input.
+    fn frame_all(max: usize, chunks: &[&[u8]]) -> Vec<Result<String, ServerError>> {
+        let mut framer = LineFramer::new(max);
+        let mut frames = Vec::new();
+        for chunk in chunks {
+            framer.push(chunk);
+            // At most one pending line (plus its "\r" slack) and one read.
+            assert!(framer.buf.len() <= max + 1 + chunk.len());
+            frames.extend(std::iter::from_fn(|| framer.next_line()));
+        }
+        frames.extend(framer.finish());
+        frames
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn framer_lines_do_not_depend_on_read_boundaries(
+            lines in proptest::prop::collection::vec(
+                proptest::prop::collection::vec(0..6usize, 0..12),
+                0..8,
+            ),
+            cuts in proptest::prop::collection::vec(1..9usize, 1..40),
+            trailing_newline in 0..2u8,
+        ) {
+            use proptest::prop_assert_eq;
+            const PIECES: &[&str] = &["a", "é", "{\"cmd\":1}", " ", "\r", "𝄞"];
+            let lines: Vec<String> = lines
+                .iter()
+                .map(|picks| picks.iter().map(|&i| PIECES[i]).collect())
+                .collect();
+            let mut text = lines.join("\n");
+            if trailing_newline == 1 {
+                text.push('\n');
+            }
+            // Cut the stream at arbitrary byte offsets, mid-character too.
+            let mut chunks: Vec<&[u8]> = Vec::new();
+            let (mut at, mut cut) = (0, cuts.iter().cycle());
+            while at < text.len() {
+                let next = (at + cut.next().unwrap()).min(text.len());
+                chunks.push(&text.as_bytes()[at..next]);
+                at = next;
+            }
+            // Every line loses its "\n" and one "\r" before it, the last
+            // line (with no newline) included.
+            let mut segments: Vec<&str> = text.split('\n').collect();
+            if segments.last() == Some(&"") {
+                segments.pop();
+            }
+            let expected: Vec<Result<String, ServerError>> = segments
+                .iter()
+                .map(|l| Ok(l.strip_suffix('\r').unwrap_or(l).to_string()))
+                .collect();
+            prop_assert_eq!(frame_all(64, &chunks), expected);
+        }
+    }
+
+    #[test]
+    fn hostile_over_long_lines_are_reported_once_and_skipped() {
+        let long = vec![b'x'; 100];
+        for chunk_len in [1, 7, 64, 1000] {
+            let mut stream = b"first\n".to_vec();
+            stream.extend_from_slice(&long);
+            stream.extend_from_slice(b"\nsecond\n");
+            stream.extend_from_slice(&long); // unterminated at end of input
+            let chunks: Vec<&[u8]> = stream.chunks(chunk_len).collect();
+            let frames = frame_all(16, &chunks);
+            assert_eq!(frames.len(), 4, "chunk {chunk_len}: {frames:?}");
+            assert_eq!(frames[0], Ok("first".to_string()));
+            assert_eq!(frames[2], Ok("second".to_string()));
+            for frame in [&frames[1], &frames[3]] {
+                let error = frame.clone().unwrap_err();
+                assert_eq!(error.code, ErrorCode::InvalidRequest);
+                assert!(error.message.contains("exceeds 16 bytes"), "{error}");
+            }
+        }
+        // A line of exactly the limit is served; non-UTF-8 is an error, not
+        // the end of the stream.
+        let frames = frame_all(4, &[b"abcd\r\nab\xffd\nok"]);
+        assert_eq!(frames[0], Ok("abcd".to_string()));
+        assert!(frames[1].clone().unwrap_err().message.contains("offset 2"));
+        assert_eq!(frames[2], Ok("ok".to_string()));
+    }
+
+    /// Request lines a peer might send that each must get exactly one
+    /// answer without harming the session: a nesting bomb, an over-long
+    /// line, a non-UTF-8 line.
+    fn hostile_lines() -> Vec<Vec<u8>> {
+        vec![
+            "[".repeat(200_000).into_bytes(),
+            format!(
+                r#"{{"cmd":"stats","pad":"{}"}}"#,
+                "x".repeat(MAX_REQUEST_LINE_BYTES)
+            )
+            .into_bytes(),
+            b"{\"cmd\":\"st\xffats\"}".to_vec(),
+        ]
+    }
+
+    /// Checks the answers to [`hostile_lines`] followed by a `stats`.
+    fn assert_hostile_answers(answers: &[Json]) {
+        assert_eq!(answers.len(), 4, "one answer per line: {answers:?}");
+        for (answer, what) in
+            answers[..3]
+                .iter()
+                .zip(["nesting deeper than 128", "exceeds 1048576 bytes", "UTF-8"])
+        {
+            assert_eq!(answer.get("ok").and_then(Json::as_bool), Some(false));
+            assert_eq!(
+                answer.get("code").and_then(Json::as_str),
+                Some("invalid_request")
+            );
+            let message = answer.get("error").and_then(Json::as_str).unwrap();
+            assert!(message.contains(what), "{what:?} not in {message:?}");
+        }
+        assert!(answers[0]
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .contains("at byte 128"));
+        // The session is still usable.
+        assert_eq!(answers[3].get("ok").and_then(Json::as_bool), Some(true));
+    }
+
+    #[test]
+    fn hostile_lines_on_stdin_get_structured_errors_and_the_session_survives() {
+        let mut script = Vec::new();
+        for line in hostile_lines() {
+            script.extend_from_slice(&line);
+            script.push(b'\n');
+        }
+        script.extend_from_slice(b"{\"cmd\":\"stats\"}\n{\"cmd\":\"shutdown\"}\n");
+        let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+        assert_eq!(serve_streams(&script[..], SharedBuf(out.clone())), 0);
+        let text = String::from_utf8(out.lock().unwrap().clone()).unwrap();
+        let answers: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+        assert_eq!(answers.len(), 5, "{text}");
+        assert_hostile_answers(&answers[..4]);
+        assert_eq!(
+            answers[4].get("cmd").and_then(Json::as_str),
+            Some("shutdown")
+        );
+    }
+
+    #[test]
+    fn hostile_lines_on_tcp_get_structured_errors_and_the_session_survives() {
+        // Socket connections run on spawned threads, whose stacks are
+        // smaller than the main thread's.
+        let addr = ListenAddr::Tcp("127.0.0.1:0".to_string());
+        let (send_ready, recv_ready) = std::sync::mpsc::channel::<String>();
+        let server = std::thread::spawn(move || {
+            serve_listener(&addr, &ServerConfig::default(), |bound| {
+                send_ready.send(bound.to_string()).unwrap()
+            })
+            .unwrap()
+        });
+        let bound = ListenAddr::parse(&recv_ready.recv().unwrap()).unwrap();
+        let ListenAddr::Tcp(spec) = &bound else {
+            unreachable!()
+        };
+        let mut raw = TcpStream::connect(spec).unwrap();
+        let mut client = ClientStream::connect(&bound).unwrap();
+        let mut answers = Vec::new();
+        for line in hostile_lines() {
+            raw.write_all(&line).unwrap();
+            raw.write_all(b"\n").unwrap();
+        }
+        raw.write_all(b"{\"cmd\":\"stats\"}\n").unwrap();
+        let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+        for _ in 0..4 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            answers.push(Json::parse(line.trim_end()).unwrap());
+        }
+        assert_hostile_answers(&answers);
+        let bye = client.request(r#"{"cmd":"shutdown"}"#).unwrap();
+        assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(server.join().unwrap(), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn hostile_request_lines_each_get_exactly_one_answer(
+            lines in proptest::prop::collection::vec(
+                proptest::prop::collection::vec((0..12usize, 0..=255u8), 0..10),
+                1..12,
+            ),
+        ) {
+            use proptest::prop_assert_eq;
+            const PIECES: &[&[u8]] = &[
+                b"{\"cmd\":\"stats\"}", b"{\"cmd\":\"registry_stats\",\"id\":7}",
+                b"[[[[[[[[", b"{\"cmd\":", b"\"", b"\\", b" ", b"\r", b"\xff", b"\xc3",
+                b"{\"cmd\":\"nope\"}",
+            ];
+            let mut script = Vec::new();
+            let mut expected = 0;
+            for picks in &lines {
+                let line: Vec<u8> = picks
+                    .iter()
+                    .flat_map(|&(i, byte)| match PIECES.get(i) {
+                        Some(piece) => piece.to_vec(),
+                        None => vec![byte],
+                    })
+                    .filter(|&b| b != b'\n')
+                    .collect();
+                let body = line.strip_suffix(b"\r").unwrap_or(&line);
+                expected += match std::str::from_utf8(body) {
+                    Ok(text) if text.trim().is_empty() => 0,
+                    _ => 1,
+                };
+                script.extend_from_slice(&line);
+                script.push(b'\n');
+            }
+            let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+            prop_assert_eq!(serve_streams(&script[..], SharedBuf(out.clone())), 0);
+            let text = String::from_utf8(out.lock().unwrap().clone()).unwrap();
+            prop_assert_eq!(text.lines().count(), expected, "{}", text);
+            for line in text.lines() {
+                proptest::prop_assert!(Json::parse(line).is_ok(), "{}", line);
+            }
+        }
     }
 
     /// One in-process TCP server, driven by library clients: concurrent
