@@ -13,18 +13,253 @@
 //! [`holdout_from_parts`] takes a pre-existing split (the paper's
 //! "holdout", which pairs two independently generated sub-datasets), and
 //! [`random_holdout`] splits a single dataset at random ("random holdout").
+//!
+//! Both run in two steps.  The [`HoldoutScreen`] mines the exploratory part
+//! and re-scores **every** exploratory rule on the evaluation part; it
+//! depends on neither α nor the metric.  [`HoldoutScreen::decide`] then
+//! keeps the rules whose exploratory p-value is at most α and corrects over
+//! them, which is cheap.  A resident engine caches the screen, so only the
+//! first holdout ask per (mining configuration, seed) pays for the mine.
 
+use crate::cancel::{CancelToken, Cancelled};
 use crate::config::RuleMiningConfig;
 use crate::correction::{CorrectionResult, ErrorMetric};
-use crate::miner::mine_rules;
+use crate::miner::{mine_rules, mine_rules_cancellable};
 use crate::rule::ClassRule;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sigrule_data::Dataset;
+use sigrule_data::{ClassId, Dataset, Pattern, TidSet, VerticalDataset};
 use sigrule_stats::{
-    benjamini_hochberg_threshold, bonferroni_threshold, FisherTest, RuleCounts, Tail,
+    benjamini_hochberg_threshold, bonferroni_threshold, LogFactorialTable, PValueBuffer,
 };
+
+/// The α-independent part of a holdout run: every rule mined on the
+/// exploratory dataset, with its exploratory p-value and its statistics
+/// re-measured on the evaluation dataset, in exploratory rule order.
+///
+/// Which rules become candidates depends on α, and the correction on the
+/// error metric, but the screen depends on neither: [`decide`] turns one
+/// screen into the answer at any α under either metric.  A resident
+/// [`Engine`](crate::engine::Engine) therefore builds it once per (mining
+/// configuration, split seed) and answers every later holdout ask from it.
+/// It holds per-rule statistics only — no forest, split datasets or index.
+///
+/// [`decide`]: HoldoutScreen::decide
+#[derive(Debug)]
+pub struct HoldoutScreen {
+    /// The exploratory rules, carrying their evaluation-dataset coverage,
+    /// support and p-value.
+    rules: Vec<ClassRule>,
+    /// The exploratory p-value of each rule (parallel to `rules`).
+    exploratory_p: Vec<f64>,
+}
+
+impl HoldoutScreen {
+    /// Mines `exploratory` with `mining` and re-scores every rule on
+    /// `evaluation`.
+    pub fn build(exploratory: &Dataset, evaluation: &Dataset, mining: &RuleMiningConfig) -> Self {
+        Self::build_cancellable(exploratory, evaluation, mining, &CancelToken::none())
+            .expect("the never-firing token cannot cancel")
+    }
+
+    /// [`build`](HoldoutScreen::build) with a cancellation token, checked
+    /// between the mining phases and before the evaluation pass.
+    fn build_cancellable(
+        exploratory: &Dataset,
+        evaluation: &Dataset,
+        mining: &RuleMiningConfig,
+        cancel: &CancelToken,
+    ) -> Result<Self, Cancelled> {
+        let vertical = VerticalDataset::from_dataset(exploratory);
+        let mined = mine_rules_cancellable(exploratory, &vertical, mining, cancel)?;
+        drop(vertical);
+        cancel.check()?;
+        let exploratory_p = mined.rules().iter().map(|r| r.p_value).collect();
+        let rules = evaluate(evaluation, mined.rules());
+        Ok(HoldoutScreen {
+            rules,
+            exploratory_p,
+        })
+    }
+
+    /// Splits `whole` into two random halves with `seed` and builds the
+    /// screen with the first half as the exploratory dataset ("random
+    /// holdout" in the paper).
+    pub fn random(whole: &Dataset, seed: u64, mining: &RuleMiningConfig) -> Self {
+        Self::random_cancellable(whole, seed, mining, &CancelToken::none())
+            .expect("the never-firing token cannot cancel")
+    }
+
+    /// [`random`](HoldoutScreen::random) with a cancellation token.
+    pub(crate) fn random_cancellable(
+        whole: &Dataset,
+        seed: u64,
+        mining: &RuleMiningConfig,
+        cancel: &CancelToken,
+    ) -> Result<Self, Cancelled> {
+        cancel.check()?;
+        let (exploratory, evaluation) = random_split(whole, seed);
+        Self::build_cancellable(&exploratory, &evaluation, mining, cancel)
+    }
+
+    /// Number of exploratory rules screened.
+    pub fn len(&self) -> usize {
+        self.rules.len()
+    }
+
+    /// True when the exploratory dataset yielded no rule.
+    pub fn is_empty(&self) -> bool {
+        self.rules.is_empty()
+    }
+
+    /// Approximate resident bytes (rules with their pattern items, plus the
+    /// exploratory p-values), for byte-budget cache eviction.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.rules.len() * (size_of::<ClassRule>() + size_of::<f64>())
+            + self
+                .rules
+                .iter()
+                .map(|r| std::mem::size_of_val(r.pattern.items()))
+                .sum::<usize>()
+    }
+
+    /// Decides significance at `alpha`: the rules with an exploratory
+    /// p-value at most `alpha` become candidates (in exploratory order), and
+    /// the correction accounts for the candidates only.  `label_prefix`
+    /// names the partitioning scheme in the method label (`"HD"` or `"RH"`).
+    pub fn decide(&self, metric: ErrorMetric, alpha: f64, label_prefix: &str) -> CorrectionResult {
+        let evaluated: Vec<ClassRule> = self
+            .rules
+            .iter()
+            .zip(&self.exploratory_p)
+            .filter(|&(_, &p)| p <= alpha)
+            .map(|(rule, _)| rule.clone())
+            .collect();
+
+        let n_candidates = evaluated.len();
+        let (method, significant, cutoff) = match metric {
+            ErrorMetric::Fwer => {
+                let cutoff = bonferroni_threshold(alpha, n_candidates.max(1));
+                let significant: Vec<bool> =
+                    evaluated.iter().map(|r| r.p_value <= cutoff).collect();
+                (format!("{label_prefix}_BC"), significant, Some(cutoff))
+            }
+            ErrorMetric::Fdr => {
+                if evaluated.is_empty() {
+                    (format!("{label_prefix}_BH"), Vec::new(), None)
+                } else {
+                    let p_values: Vec<f64> = evaluated.iter().map(|r| r.p_value).collect();
+                    let threshold = benjamini_hochberg_threshold(&p_values, alpha, None)
+                        .expect("validated p-values");
+                    let significant: Vec<bool> = p_values.iter().map(|&p| p <= threshold).collect();
+                    (format!("{label_prefix}_BH"), significant, None)
+                }
+            }
+        };
+
+        CorrectionResult {
+            method,
+            metric,
+            alpha,
+            significant,
+            rules: evaluated,
+            p_value_cutoff: cutoff,
+            n_tests: n_candidates,
+        }
+    }
+}
+
+/// Re-measures every rule on `evaluation` through its vertical index: a
+/// pattern's cover is the intersection of its items' tid-sets, and its rule
+/// support the covered records carrying the rule's class.  The two-sided
+/// Fisher p-values are read from one p-value buffer per (class, coverage),
+/// the same computation [`FisherTest`](sigrule_stats::FisherTest) runs per
+/// rule, so the values are bit-identical to it.
+fn evaluate(evaluation: &Dataset, rules: &[ClassRule]) -> Vec<ClassRule> {
+    let vertical = VerticalDataset::from_dataset(evaluation);
+    let labels = vertical.labels();
+    let mut cover = TidSet::empty();
+    let mut covered: Option<&Pattern> = None;
+    let mut evaluated: Vec<ClassRule> = rules
+        .iter()
+        .map(|rule| {
+            // Rules of one pattern (one per class) are adjacent.
+            if covered != Some(&rule.pattern) {
+                cover = cover_of(&vertical, &rule.pattern);
+                covered = Some(&rule.pattern);
+            }
+            ClassRule {
+                pattern: rule.pattern.clone(),
+                class: rule.class,
+                coverage: cover.len(),
+                support: cover.count_class(labels, rule.class),
+                p_value: 1.0,
+            }
+        })
+        .collect();
+
+    let n_eval = evaluation.n_records();
+    if n_eval == 0 {
+        return evaluated;
+    }
+    let class_counts = evaluation.class_counts();
+    let logs = LogFactorialTable::new(n_eval);
+    let mut order: Vec<(ClassId, usize, usize)> = evaluated
+        .iter()
+        .enumerate()
+        .map(|(i, rule)| (rule.class, rule.coverage, i))
+        .collect();
+    order.sort_unstable();
+    for group in order.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let (class, coverage, _) = group[0];
+        let buffer = PValueBuffer::build(n_eval, class_counts.count(class), coverage, &logs);
+        for &(_, _, i) in group {
+            evaluated[i].p_value = buffer.p_value(evaluated[i].support);
+        }
+    }
+    evaluated
+}
+
+/// The records of `vertical` containing every item of `pattern`: the
+/// intersection of the items' tid-sets, smallest first.
+fn cover_of(vertical: &VerticalDataset, pattern: &Pattern) -> TidSet {
+    let mut items: Vec<&TidSet> = pattern
+        .items()
+        .iter()
+        .map(|&item| vertical.item_tids(item))
+        .collect();
+    items.sort_unstable_by_key(|tids| tids.len());
+    let Some((smallest, rest)) = items.split_first() else {
+        return TidSet::full(vertical.n_records());
+    };
+    let mut cover = (*smallest).clone();
+    for tids in rest {
+        if cover.is_empty() {
+            break;
+        }
+        cover = cover.intersect(tids);
+    }
+    cover
+}
+
+/// Splits `whole` into a random half (the exploratory dataset, first) and
+/// the rest, shuffling record indices with `seed`.
+fn random_split(whole: &Dataset, seed: u64) -> (Dataset, Dataset) {
+    let n = whole.n_records();
+    let mut indices: Vec<usize> = (0..n).collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    indices.shuffle(&mut rng);
+    let half = n / 2;
+    let mut mask = vec![false; n];
+    for &i in indices.iter().take(half) {
+        mask[i] = true;
+    }
+    whole
+        .split_by_mask(&mask)
+        .expect("mask has exactly one entry per record")
+}
 
 /// Runs the holdout procedure on an existing exploratory/evaluation split.
 ///
@@ -40,72 +275,7 @@ pub fn holdout_from_parts(
     alpha: f64,
     label_prefix: &str,
 ) -> CorrectionResult {
-    // Step 1: discover candidate rules on the exploratory dataset.
-    let mined = mine_rules(exploratory, mining);
-    let candidates: Vec<ClassRule> = mined
-        .rules()
-        .iter()
-        .filter(|r| r.p_value <= alpha)
-        .cloned()
-        .collect();
-
-    // Step 2: re-score every candidate on the evaluation dataset.
-    let n_eval = evaluation.n_records();
-    let eval_class_counts = evaluation.class_counts();
-    let fisher = FisherTest::new(n_eval);
-    let evaluated: Vec<ClassRule> = candidates
-        .iter()
-        .map(|candidate| {
-            let coverage = evaluation.support(&candidate.pattern);
-            let support = evaluation.rule_support(&candidate.pattern, candidate.class);
-            let n_c = eval_class_counts.count(candidate.class);
-            let p_value = if n_eval == 0 {
-                1.0
-            } else {
-                let counts = RuleCounts::new(n_eval, n_c, coverage, support)
-                    .expect("counts measured on the evaluation dataset are consistent");
-                fisher.p_value(&counts, Tail::TwoSided)
-            };
-            ClassRule {
-                pattern: candidate.pattern.clone(),
-                class: candidate.class,
-                coverage,
-                support,
-                p_value,
-            }
-        })
-        .collect();
-
-    // Step 3: correct over the candidate set only.
-    let n_candidates = evaluated.len();
-    let (method, significant, cutoff) = match metric {
-        ErrorMetric::Fwer => {
-            let cutoff = bonferroni_threshold(alpha, n_candidates.max(1));
-            let significant: Vec<bool> = evaluated.iter().map(|r| r.p_value <= cutoff).collect();
-            (format!("{label_prefix}_BC"), significant, Some(cutoff))
-        }
-        ErrorMetric::Fdr => {
-            if evaluated.is_empty() {
-                (format!("{label_prefix}_BH"), Vec::new(), None)
-            } else {
-                let p_values: Vec<f64> = evaluated.iter().map(|r| r.p_value).collect();
-                let threshold = benjamini_hochberg_threshold(&p_values, alpha, None)
-                    .expect("validated p-values");
-                let significant: Vec<bool> = p_values.iter().map(|&p| p <= threshold).collect();
-                (format!("{label_prefix}_BH"), significant, None)
-            }
-        }
-    };
-
-    CorrectionResult {
-        method,
-        metric,
-        alpha,
-        significant,
-        rules: evaluated,
-        p_value_cutoff: cutoff,
-        n_tests: n_candidates,
-    }
+    HoldoutScreen::build(exploratory, evaluation, mining).decide(metric, alpha, label_prefix)
 }
 
 /// Splits `whole` into two random halves and runs the holdout procedure
@@ -118,19 +288,7 @@ pub fn random_holdout(
     metric: ErrorMetric,
     alpha: f64,
 ) -> CorrectionResult {
-    let n = whole.n_records();
-    let mut indices: Vec<usize> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    indices.shuffle(&mut rng);
-    let half = n / 2;
-    let mut mask = vec![false; n];
-    for &i in indices.iter().take(half) {
-        mask[i] = true;
-    }
-    let (exploratory, evaluation) = whole
-        .split_by_mask(&mask)
-        .expect("mask has exactly one entry per record");
-    holdout_from_parts(&exploratory, &evaluation, mining, metric, alpha, "RH")
+    HoldoutScreen::random(whole, seed, mining).decide(metric, alpha, "RH")
 }
 
 /// Number of candidate rules that pass the exploratory screen at `alpha`
@@ -268,6 +426,87 @@ mod tests {
         assert_eq!(a.method, "RH_BC");
         assert_eq!(a.n_significant(), b.n_significant());
         assert_eq!(a.rules.len(), b.rules.len());
+    }
+
+    /// First-principles oracle for the evaluation side: for every
+    /// exploratory rule, the vertical-index coverage and support equal
+    /// `Dataset::support`/`rule_support` row scans, and the p-value equals a
+    /// per-rule `FisherTest` bit for bit.
+    #[test]
+    fn screen_statistics_match_row_scans_and_fisher() {
+        use sigrule_stats::{FisherTest, RuleCounts, Tail};
+        let rows = paired(0.85, 8).whole;
+        // Baskets over three classes: several rules per pattern, and
+        // variable-length records.
+        let mut basket_params = sigrule_synth::BasketParams::default().with_rules(2);
+        basket_params.n_classes = 3;
+        let (baskets, _) = sigrule_synth::BasketGenerator::new(basket_params)
+            .unwrap()
+            .generate(9);
+        for (whole, min_sup) in [(rows, 20), (baskets, 10)] {
+            let (exploratory, evaluation) = random_split(&whole, 5);
+            let mining = RuleMiningConfig::new(min_sup);
+            let screen = HoldoutScreen::build(&exploratory, &evaluation, &mining);
+            let mined = mine_rules(&exploratory, &mining);
+            assert_eq!(screen.len(), mined.rules().len());
+            assert!(!screen.is_empty());
+            let n_eval = evaluation.n_records();
+            let fisher = FisherTest::new(n_eval);
+            let class_counts = evaluation.class_counts();
+            for ((rule, explored), &p) in screen
+                .rules
+                .iter()
+                .zip(mined.rules())
+                .zip(&screen.exploratory_p)
+            {
+                assert_eq!(rule.pattern, explored.pattern);
+                assert_eq!(rule.class, explored.class);
+                assert_eq!(p.to_bits(), explored.p_value.to_bits());
+                assert_eq!(rule.coverage, evaluation.support(&rule.pattern));
+                assert_eq!(
+                    rule.support,
+                    evaluation.rule_support(&rule.pattern, rule.class)
+                );
+                let counts = RuleCounts::new(
+                    n_eval,
+                    class_counts.count(rule.class),
+                    rule.coverage,
+                    rule.support,
+                )
+                .unwrap();
+                assert_eq!(
+                    rule.p_value.to_bits(),
+                    fisher.p_value(&counts, Tail::TwoSided).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_screen_answers_every_alpha_and_metric() {
+        let p = paired(0.9, 10);
+        let mining = RuleMiningConfig::new(40);
+        let screen = HoldoutScreen::build(&p.exploratory, &p.evaluation, &mining);
+        for metric in [ErrorMetric::Fwer, ErrorMetric::Fdr] {
+            for alpha in [1e-6, 0.01, 0.05, 0.5, 1.0] {
+                let decided = screen.decide(metric, alpha, "HD");
+                let candidates = screen.exploratory_p.iter().filter(|&&q| q <= alpha).count();
+                assert_eq!(decided.n_tests, candidates);
+                assert_eq!(decided.rules.len(), candidates);
+                assert_eq!(decided.significant.len(), candidates);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_evaluation_dataset_scores_every_rule_p_one() {
+        let p = paired(0.9, 11);
+        let (empty, _) = p.evaluation.split_at(0);
+        let screen = HoldoutScreen::build(&p.exploratory, &empty, &RuleMiningConfig::new(40));
+        assert!(!screen.is_empty());
+        for rule in &screen.rules {
+            assert_eq!((rule.coverage, rule.support, rule.p_value), (0, 0, 1.0));
+        }
     }
 
     #[test]

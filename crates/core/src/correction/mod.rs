@@ -26,6 +26,7 @@ use crate::cancel::{CancelToken, Cancelled};
 use crate::config::RuleMiningConfig;
 use crate::miner::MinedRuleSet;
 use crate::rule::ClassRule;
+use holdout::HoldoutScreen;
 use permutation::{PermutationCorrection, PermutationStats};
 use serde::{Deserialize, Serialize};
 use sigrule_data::Dataset;
@@ -105,8 +106,9 @@ impl CorrectionResult {
 ///
 /// The cached fields are strictly optional accelerations: an implementation
 /// must produce **bit-identical** results whether they are present or not
-/// (the permutation null and the static p-value tables are deterministic
-/// functions of the other fields, so this holds by construction).
+/// (the permutation null, the static p-value tables and the holdout screen
+/// are deterministic functions of the other fields, so this holds by
+/// construction).
 #[derive(Debug, Clone, Copy)]
 pub struct CorrectionContext<'a> {
     /// The dataset the rules were mined from (needed by data-splitting
@@ -125,6 +127,10 @@ pub struct CorrectionContext<'a> {
     /// Prebuilt static p-value tables for this mined rule set, when the
     /// caller cached them; only consulted when the null must be collected.
     pub tables: Option<&'a SharedTableSet>,
+    /// An already-built holdout screen for this dataset, exploratory mining
+    /// configuration and split seed, when the caller cached one; `None`
+    /// makes the holdout build it on the fly.
+    pub holdout: Option<&'a HoldoutScreen>,
 }
 
 impl<'a> CorrectionContext<'a> {
@@ -143,6 +149,7 @@ impl<'a> CorrectionContext<'a> {
             alpha,
             null: None,
             tables: None,
+            holdout: None,
         }
     }
 }
@@ -239,7 +246,9 @@ impl Correction for PermutationApproach {
     }
 }
 
-/// [`Correction`] implementation of the random holdout (§4.3).
+/// [`Correction`] implementation of the random holdout (§4.3).  When the
+/// context carries a cached [`HoldoutScreen`] only the decision runs;
+/// otherwise the screen is built first.
 #[derive(Debug, Clone)]
 pub struct RandomHoldout {
     /// Seed of the random split.
@@ -260,17 +269,31 @@ impl RandomHoldout {
             },
         }
     }
+
+    /// Builds the α- and metric-independent screen of this holdout on
+    /// `dataset` — the artifact an engine caches.  `cancel` is checked
+    /// between the mining phases of the exploratory half.
+    pub fn screen(
+        &self,
+        dataset: &Dataset,
+        cancel: &CancelToken,
+    ) -> Result<HoldoutScreen, Cancelled> {
+        HoldoutScreen::random_cancellable(dataset, self.seed, &self.exploratory, cancel)
+    }
 }
 
 impl Correction for RandomHoldout {
     fn apply(&self, ctx: &CorrectionContext<'_>) -> CorrectionResult {
-        holdout::random_holdout(
-            ctx.dataset,
-            self.seed,
-            &self.exploratory,
-            ctx.metric,
-            ctx.alpha,
-        )
+        match ctx.holdout {
+            Some(screen) => screen.decide(ctx.metric, ctx.alpha, "RH"),
+            None => holdout::random_holdout(
+                ctx.dataset,
+                self.seed,
+                &self.exploratory,
+                ctx.metric,
+                ctx.alpha,
+            ),
+        }
     }
 }
 
@@ -374,10 +397,18 @@ mod tests {
 
         let hd = RandomHoldout::from_mining(11, m.config());
         assert_eq!(hd.exploratory.min_sup, 20);
-        assert_eq!(
-            hd.apply(&ctx),
-            holdout::random_holdout(&d, 11, &hd.exploratory, ErrorMetric::Fwer, 0.05)
-        );
+        let reference = holdout::random_holdout(&d, 11, &hd.exploratory, ErrorMetric::Fwer, 0.05);
+        assert_eq!(hd.apply(&ctx), reference);
+        // Cached context: a prebuilt screen answers identically.
+        let screen = hd
+            .screen(&d, &none)
+            .expect("the never-firing token cannot cancel");
+        let screened_ctx = CorrectionContext {
+            holdout: Some(&screen),
+            ..ctx
+        };
+        assert_eq!(hd.apply(&screened_ctx), reference);
+        assert!(hd.screen(&d, &fired).is_err());
         // Approaches with no cacheable artifact report so.
         assert!(Uncorrected.collect_null(&ctx, &none).unwrap().is_none());
         assert!(DirectAdjustment

@@ -11,7 +11,15 @@
 //!   mined rule set and shared across runs ([`SharedTableSet`]);
 //! * permutation null distributions ([`PermutationStats`]) — cached per
 //!   (mining configuration, permutation count, seed), so a warm query at a
-//!   new α never re-permutes.
+//!   new α never re-permutes;
+//! * holdout screens ([`HoldoutScreen`]) — cached per (mining
+//!   configuration, split seed), so a warm holdout ask at any α and under
+//!   either metric never re-mines the exploratory half.
+//!
+//! The three caches are instances of one keyed fill-cell cache: each entry
+//! fills at most once (racing identical queries wait for the one filling
+//! thread), an aborted fill leaves it cold, and every entry takes part in
+//! the same byte-budget LRU eviction.
 //!
 //! The stages are explicit: [`Loader`] is the **load** stage (file/text →
 //! dataset + warnings), [`Engine`] is the **index + cache** stage, and
@@ -43,8 +51,11 @@
 //! assert_eq!(warm.null_cached, Some(true));
 //! ```
 
+mod cache;
+
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::RuleMiningConfig;
+use crate::correction::holdout::HoldoutScreen;
 use crate::correction::permutation::PermutationStats;
 use crate::correction::{
     Correction, CorrectionContext, CorrectionResult, DirectAdjustment, ErrorMetric,
@@ -52,16 +63,16 @@ use crate::correction::{
 };
 use crate::miner::{mine_rules_cancellable, MinedRuleSet};
 use crate::pipeline::{CorrectionApproach, PipelineError};
+use cache::{Cacheable, KeyedCache, LockedCache};
 use sigrule_data::loader::{
     detect_format_with, load_baskets_file, load_baskets_str, load_csv_file, load_csv_str,
     BasketOptions, InputFormat, LoadOptions, LoadWarning,
 };
 use sigrule_data::{Dataset, SharedDataset};
 use sigrule_stats::SharedTableSet;
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The load stage: turns a file or text into a dataset plus loader warnings,
@@ -187,6 +198,10 @@ impl From<&RuleMiningConfig> for MiningKey {
 /// depends on — α and the error metric are applied after the fact).
 type NullKey = (MiningKey, usize, u64);
 
+/// Cache key of a holdout screen: the whole-dataset mining configuration
+/// (the exploratory configuration is derived from it) plus the split seed.
+type HoldoutKey = (MiningKey, u64);
+
 /// One resident mined rule set plus its lazily built static p-value tables.
 #[derive(Debug)]
 struct MineEntry {
@@ -201,9 +216,6 @@ struct MineEntry {
     /// Approximate bytes of `tables`, computed once after their build (the
     /// static tables are immutable too).
     table_bytes: OnceLock<usize>,
-    /// LRU stamp: the engine clock value of the last query that touched this
-    /// entry.
-    last_used: AtomicU64,
 }
 
 impl MineEntry {
@@ -216,116 +228,40 @@ impl MineEntry {
         }
     }
 
-    /// Approximate resident bytes: the rule set plus its static p-value
-    /// tables (when built).
+    /// The static p-value tables, building them on first use.  They are a
+    /// deterministic function of the rule set, so which query builds them
+    /// changes only cost.
+    fn tables(&self, n_permutations: usize, seed: u64) -> &SharedTableSet {
+        self.tables.get_or_init(|| {
+            PermutationApproach {
+                n_permutations,
+                seed,
+            }
+            .correction()
+            .build_shared_tables(&self.mined)
+        })
+    }
+}
+
+impl Cacheable for MineEntry {
+    const KIND: CacheEntryKind = CacheEntryKind::RuleSet;
+    /// The rule set plus its static p-value tables (when built).
     fn bytes(&self) -> usize {
         self.mined_bytes + self.tables_bytes()
     }
 }
 
-/// One resident permutation null distribution.
-#[derive(Debug)]
-struct NullEntry {
-    stats: Arc<PermutationStats>,
-    /// LRU stamp: the engine clock value of the last query that touched this
-    /// entry.
-    last_used: AtomicU64,
-}
-
-/// The state of a [`FillCell`]: never filled, being filled by one thread, or
-/// filled for good.
-#[derive(Debug)]
-enum FillState<T> {
-    Empty,
-    Filling,
-    Full(Arc<T>),
-}
-
-/// A cache slot that is filled at most once per *successful* fill attempt.
-/// Concurrent requesters of the same key block on the filling thread instead
-/// of duplicating the work, so two identical queries racing on a cold cache
-/// still permute (or mine) only once.
-///
-/// Unlike a `OnceLock`, a fill here is **fallible and abortable**: if the
-/// filling closure errors (a cancelled query), or panics (an injected
-/// fault), the cell reverts to empty — never a partial entry — and one of
-/// the blocked waiters takes the fill over.  The next identical query redoes
-/// the work from scratch and stays bit-identical; cancellation can change
-/// cost, never answers.
-#[derive(Debug)]
-struct FillCell<T> {
-    state: Mutex<FillState<T>>,
-    ready: Condvar,
-}
-
-impl<T> Default for FillCell<T> {
-    fn default() -> Self {
-        FillCell {
-            state: Mutex::new(FillState::Empty),
-            ready: Condvar::new(),
-        }
+impl Cacheable for PermutationStats {
+    const KIND: CacheEntryKind = CacheEntryKind::Null;
+    fn bytes(&self) -> usize {
+        self.resident_bytes()
     }
 }
 
-/// Resets an aborted fill (error or panic) back to empty and wakes the
-/// waiters so one of them can take over.
-struct FillAbortGuard<'a, T> {
-    cell: &'a FillCell<T>,
-    armed: bool,
-}
-
-impl<T> Drop for FillAbortGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.armed {
-            *self.cell.lock() = FillState::Empty;
-            self.cell.ready.notify_all();
-        }
-    }
-}
-
-impl<T> FillCell<T> {
-    /// The state lock, recovering from poisoning: the abort guard keeps the
-    /// state machine consistent even when a filling thread panics, so a
-    /// poisoned mutex carries no broken invariant.
-    fn lock(&self) -> MutexGuard<'_, FillState<T>> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The filled value, if any (never blocks on a fill in progress).
-    fn get(&self) -> Option<Arc<T>> {
-        match &*self.lock() {
-            FillState::Full(value) => Some(value.clone()),
-            _ => None,
-        }
-    }
-
-    /// Returns the filled value, filling it with `fill` when the cell is
-    /// empty.  The second tuple field is `true` when the value was already
-    /// resident (a cache hit).  While one thread fills, concurrent callers
-    /// block; if the fill errors or panics, the cell reverts to empty and a
-    /// blocked caller retries the fill itself.
-    fn get_or_fill<E>(&self, fill: impl FnOnce() -> Result<T, E>) -> Result<(Arc<T>, bool), E> {
-        let mut state = self.lock();
-        loop {
-            match &*state {
-                FillState::Full(value) => return Ok((value.clone(), true)),
-                FillState::Filling => {
-                    state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
-                }
-                FillState::Empty => break,
-            }
-        }
-        *state = FillState::Filling;
-        drop(state);
-        let mut guard = FillAbortGuard {
-            cell: self,
-            armed: true,
-        };
-        let value = Arc::new(fill()?);
-        guard.armed = false;
-        *self.lock() = FillState::Full(value.clone());
-        self.ready.notify_all();
-        Ok((value, false))
+impl Cacheable for HoldoutScreen {
+    const KIND: CacheEntryKind = CacheEntryKind::Holdout;
+    fn bytes(&self) -> usize {
+        self.approx_bytes()
     }
 }
 
@@ -461,6 +397,12 @@ impl Query {
             )
         })
     }
+
+    /// The holdout-screen cache key, when this query is a holdout.
+    fn holdout_key(&self) -> Option<HoldoutKey> {
+        (self.approach == CorrectionApproach::Holdout)
+            .then(|| (MiningKey::from(&self.mining), self.seed))
+    }
 }
 
 /// Wall-clock timings of one engine query, split by stage.  A warm query
@@ -499,6 +441,9 @@ pub struct QueryOutcome {
     /// Whether the permutation null came from the cache (`None` for
     /// approaches without a cacheable null).
     pub null_cached: Option<bool>,
+    /// Whether the holdout screen came from the cache (`None` unless the
+    /// query is a holdout).
+    pub holdout_cached: Option<bool>,
 }
 
 /// A snapshot of the engine's cache state and hit counters.
@@ -514,6 +459,10 @@ pub struct EngineStats {
     pub null_hits: u64,
     /// Permutation-null cache misses (nulls collected).
     pub null_misses: u64,
+    /// Holdout-screen cache hits.
+    pub holdout_hits: u64,
+    /// Holdout-screen cache misses (screens built).
+    pub holdout_misses: u64,
     /// Queries aborted by their cancellation token (deadline or explicit
     /// cancel) before finishing.
     pub cancelled_queries: u64,
@@ -521,6 +470,8 @@ pub struct EngineStats {
     pub cached_rule_sets: usize,
     /// Null distributions currently resident.
     pub cached_nulls: usize,
+    /// Holdout screens currently resident.
+    pub cached_holdouts: usize,
     /// Bytes held by the resident static p-value tables.
     pub table_bytes: usize,
     /// Approximate bytes held by the resident mined rule sets (forests,
@@ -528,10 +479,14 @@ pub struct EngineStats {
     pub rule_set_bytes: usize,
     /// Approximate bytes held by the resident permutation nulls.
     pub null_bytes: usize,
+    /// Approximate bytes held by the resident holdout screens.
+    pub holdout_bytes: usize,
     /// Rule sets evicted so far (byte-budget eviction).
     pub evicted_rule_sets: u64,
     /// Null distributions evicted so far (byte-budget eviction).
     pub evicted_nulls: u64,
+    /// Holdout screens evicted so far (byte-budget eviction).
+    pub evicted_holdouts: u64,
     /// Active support-counting kernel kind (`"scalar"`, `"avx2"`, `"neon"`)
     /// — resolved once per process from `SIGRULE_KERNEL` + feature
     /// detection; see [`sigrule_data::kernel`].
@@ -559,9 +514,10 @@ pub struct EngineStats {
 
 impl EngineStats {
     /// Total approximate resident cache bytes (rule sets + p-value tables +
-    /// permutation nulls) — the quantity a byte budget bounds.
+    /// permutation nulls + holdout screens) — the quantity a byte budget
+    /// bounds.
     pub fn resident_bytes(&self) -> usize {
-        self.rule_set_bytes + self.table_bytes + self.null_bytes
+        self.rule_set_bytes + self.table_bytes + self.null_bytes + self.holdout_bytes
     }
 }
 
@@ -572,6 +528,19 @@ pub enum CacheEntryKind {
     RuleSet,
     /// A permutation null distribution.
     Null,
+    /// A holdout screen.
+    Holdout,
+}
+
+impl CacheEntryKind {
+    /// The `kind` label of eviction metrics and log events.
+    pub fn label(&self) -> &'static str {
+        match self {
+            CacheEntryKind::RuleSet => "rule_set",
+            CacheEntryKind::Null => "null",
+            CacheEntryKind::Holdout => "holdout",
+        }
+    }
 }
 
 /// One evictable cache entry, as seen by an eviction policy: what it is, how
@@ -589,7 +558,8 @@ pub struct CacheEntry {
 
 /// A dataset-resident query engine: owns one loaded dataset (shared, with a
 /// lazily built vertical index) and answers repeated [`Query`]s, caching
-/// mined rule sets and permutation null distributions.  See the
+/// mined rule sets, permutation null distributions and holdout screens.
+/// See the
 /// [module docs](self) for the cache structure.
 ///
 /// All methods take `&self`; the engine is `Sync` and is designed to be put
@@ -604,16 +574,11 @@ pub struct Engine {
     /// (`"local"` for one-shot pipelines; a registry overwrites it with the
     /// served dataset name).  Observation only — never part of a cache key.
     label: String,
-    mined: Mutex<HashMap<MiningKey, Arc<FillCell<MineEntry>>>>,
-    nulls: Mutex<HashMap<NullKey, Arc<FillCell<NullEntry>>>>,
+    mined: KeyedCache<MiningKey, MineEntry>,
+    nulls: KeyedCache<NullKey, PermutationStats>,
+    holdouts: KeyedCache<HoldoutKey, HoldoutScreen>,
     queries: AtomicU64,
-    mine_hits: AtomicU64,
-    mine_misses: AtomicU64,
-    null_hits: AtomicU64,
-    null_misses: AtomicU64,
     cancelled_queries: AtomicU64,
-    evicted_rule_sets: AtomicU64,
-    evicted_nulls: AtomicU64,
     /// Monotonic LRU clock; every cache touch stamps the entry with the next
     /// tick.  Shareable across engines (see [`Engine::set_clock`]) so a
     /// registry can run one least-recently-used order over many engines.
@@ -634,16 +599,11 @@ impl Engine {
             load_time: Duration::ZERO,
             warnings: Vec::new(),
             label: "local".to_string(),
-            mined: Mutex::new(HashMap::new()),
-            nulls: Mutex::new(HashMap::new()),
+            mined: KeyedCache::default(),
+            nulls: KeyedCache::default(),
+            holdouts: KeyedCache::default(),
             queries: AtomicU64::new(0),
-            mine_hits: AtomicU64::new(0),
-            mine_misses: AtomicU64::new(0),
-            null_hits: AtomicU64::new(0),
-            null_misses: AtomicU64::new(0),
             cancelled_queries: AtomicU64::new(0),
-            evicted_rule_sets: AtomicU64::new(0),
-            evicted_nulls: AtomicU64::new(0),
             clock: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -665,11 +625,6 @@ impl Engine {
     /// The `dataset` label carried by this engine's metrics and log events.
     pub fn label(&self) -> &str {
         &self.label
-    }
-
-    /// Stamps the next LRU tick.
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Relaxed)
     }
 
     /// The resident dataset.
@@ -718,44 +673,32 @@ impl Engine {
         config: &RuleMiningConfig,
         cancel: &CancelToken,
     ) -> Result<(Arc<MineEntry>, Duration, bool), Cancelled> {
-        let key = MiningKey::from(config);
-        // Take (or insert) the cell under the lock, then fill it outside the
-        // lock: the cell blocks concurrent requesters of the same key on the
-        // one thread actually mining, while other keys proceed in parallel.
-        let cell = self
-            .mined
-            .lock()
-            .expect("mine cache lock")
-            .entry(key)
-            .or_default()
-            .clone();
         let start = Instant::now();
-        let (entry, cached) = cell.get_or_fill(|| {
-            cancel.check()?;
-            let vertical = self.shared.vertical();
-            let mined = Arc::new(mine_rules_cancellable(
-                self.shared.dataset(),
-                &vertical,
-                config,
-                cancel,
-            )?);
-            let mined_bytes = mined.approx_bytes();
-            Ok(MineEntry {
-                mined,
-                tables: OnceLock::new(),
-                mined_bytes,
-                table_bytes: OnceLock::new(),
-                last_used: AtomicU64::new(0),
-            })
-        })?;
-        entry.last_used.store(self.tick(), Relaxed);
-        if cached {
-            self.mine_hits.fetch_add(1, Relaxed);
-            Ok((entry, Duration::ZERO, true))
+        let (entry, cached) =
+            self.mined
+                .get_or_fill(MiningKey::from(config), &self.clock, || {
+                    cancel.check()?;
+                    let vertical = self.shared.vertical();
+                    let mined = Arc::new(mine_rules_cancellable(
+                        self.shared.dataset(),
+                        &vertical,
+                        config,
+                        cancel,
+                    )?);
+                    let mined_bytes = mined.approx_bytes();
+                    Ok(MineEntry {
+                        mined,
+                        tables: OnceLock::new(),
+                        mined_bytes,
+                        table_bytes: OnceLock::new(),
+                    })
+                })?;
+        let elapsed = if cached {
+            Duration::ZERO
         } else {
-            self.mine_misses.fetch_add(1, Relaxed);
-            Ok((entry, start.elapsed(), false))
-        }
+            start.elapsed()
+        };
+        Ok((entry, elapsed, cached))
     }
 
     /// Mines (via the cache) and returns the rule set together with its
@@ -772,17 +715,7 @@ impl Engine {
         cancel: &CancelToken,
     ) -> Result<(Arc<MinedRuleSet>, SharedTableSet), Cancelled> {
         let (entry, _elapsed, _cached) = self.mine_entry(config, cancel)?;
-        let tables = entry
-            .tables
-            .get_or_init(|| {
-                PermutationApproach {
-                    n_permutations,
-                    seed,
-                }
-                .correction()
-                .build_shared_tables(&entry.mined)
-            })
-            .clone();
+        let tables = entry.tables(n_permutations, seed).clone();
         Ok((entry.mined.clone(), tables))
     }
 
@@ -821,38 +754,15 @@ impl Engine {
         ) -> Result<PermutationStats, Cancelled>,
     {
         let (entry, _mine_time, _mined_cached) = self.mine_entry(mining, cancel)?;
-        let key: NullKey = (MiningKey::from(mining), n_permutations, seed);
         let cell = self
             .nulls
-            .lock()
-            .expect("null cache lock")
-            .entry(key)
-            .or_default()
-            .clone();
+            .cell((MiningKey::from(mining), n_permutations, seed));
         cancel.check()?;
-        let tables = entry.tables.get_or_init(|| {
-            PermutationApproach {
-                n_permutations,
-                seed,
-            }
-            .correction()
-            .build_shared_tables(&entry.mined)
-        });
-        let (null_entry, cached) = cell.get_or_fill(|| -> Result<NullEntry, Cancelled> {
+        let tables = entry.tables(n_permutations, seed);
+        self.nulls.fill(&cell, &self.clock, || {
             cancel.check()?;
-            let stats = collect(&entry.mined, tables, cancel)?;
-            Ok(NullEntry {
-                stats: Arc::new(stats),
-                last_used: AtomicU64::new(0),
-            })
-        })?;
-        if cached {
-            self.null_hits.fetch_add(1, Relaxed);
-        } else {
-            self.null_misses.fetch_add(1, Relaxed);
-        }
-        null_entry.last_used.store(self.tick(), Relaxed);
-        Ok((null_entry.stats.clone(), cached))
+            collect(&entry.mined, tables, cancel)
+        })
     }
 
     /// Answers one query, consulting and populating the caches.  Warm results
@@ -882,17 +792,15 @@ impl Engine {
         crate::obs_metrics::queries_total(dataset).inc();
         match outcome {
             Ok(outcome) => {
-                let (cache, hit) = ("mine", outcome.mined_cached);
-                if hit {
-                    crate::obs_metrics::cache_hits_total(dataset, cache).inc();
-                } else {
-                    crate::obs_metrics::cache_misses_total(dataset, cache).inc();
-                }
-                if let Some(null_hit) = outcome.null_cached {
-                    if null_hit {
-                        crate::obs_metrics::cache_hits_total(dataset, "null").inc();
-                    } else {
-                        crate::obs_metrics::cache_misses_total(dataset, "null").inc();
+                for (cache, hit) in [
+                    ("mine", Some(outcome.mined_cached)),
+                    ("null", outcome.null_cached),
+                    ("holdout", outcome.holdout_cached),
+                ] {
+                    match hit {
+                        Some(true) => crate::obs_metrics::cache_hits_total(dataset, cache).inc(),
+                        Some(false) => crate::obs_metrics::cache_misses_total(dataset, cache).inc(),
+                        None => {}
                     }
                 }
                 for (phase, elapsed) in [
@@ -960,78 +868,69 @@ impl Engine {
         let null_stats: Option<Arc<PermutationStats>> = match query.null_key() {
             None => None,
             Some(key) => {
-                let cell = self
-                    .nulls
-                    .lock()
-                    .expect("null cache lock")
-                    .entry(key)
-                    .or_default()
-                    .clone();
-                if cell.get().is_none() {
-                    // Probably cold: prepare the shared tables and (when
-                    // requested) the pinned pool before entering the cell, so
-                    // pool-build errors can still be reported.
-                    cancel.check()?;
-                    let tables = entry.tables.get_or_init(|| {
-                        PermutationApproach {
-                            n_permutations: query.n_permutations,
-                            seed: query.seed,
-                        }
-                        .correction()
-                        .build_shared_tables(&entry.mined)
-                    });
-                    ctx.tables = Some(tables);
-                    let pool = match query.threads {
-                        Some(n) => Some(
-                            rayon::ThreadPoolBuilder::new()
-                                .num_threads(n)
-                                .build()
-                                .map_err(|e| PipelineError::Config(format!("thread pool: {e}")))?,
-                        ),
-                        None => None,
-                    };
-                    let start = Instant::now();
-                    let (null_entry, cached) =
-                        cell.get_or_fill(|| -> Result<NullEntry, Cancelled> {
+                let cell = self.nulls.cell(key);
+                let (stats, cached) = match self.nulls.hit(&cell, &self.clock) {
+                    Some(stats) => (stats, true),
+                    None => {
+                        // Probably cold: prepare the shared tables and (when
+                        // requested) the pinned pool before entering the
+                        // cell, so pool-build errors can still be reported.
+                        cancel.check()?;
+                        ctx.tables = Some(entry.tables(query.n_permutations, query.seed));
+                        let pool = match query.threads {
+                            Some(n) => Some(
+                                rayon::ThreadPoolBuilder::new()
+                                    .num_threads(n)
+                                    .build()
+                                    .map_err(|e| {
+                                        PipelineError::Config(format!("thread pool: {e}"))
+                                    })?,
+                            ),
+                            None => None,
+                        };
+                        let start = Instant::now();
+                        let (stats, cached) = self.nulls.fill(&cell, &self.clock, || {
                             cancel.check()?;
                             let collect = || {
                                 correction.collect_null(&ctx, cancel).map(|stats| {
                                     stats.expect("a correction with a null key collects a null")
                                 })
                             };
-                            let stats = match &pool {
+                            match &pool {
                                 Some(pool) => pool.install(collect),
                                 None => collect(),
-                            }?;
-                            Ok(NullEntry {
-                                stats: Arc::new(stats),
-                                last_used: AtomicU64::new(0),
-                            })
+                            }
                         })?;
-                    if cached {
-                        self.null_hits.fetch_add(1, Relaxed);
-                        null_cached = Some(true);
-                    } else {
-                        null_time = start.elapsed();
-                        self.null_misses.fetch_add(1, Relaxed);
-                        null_cached = Some(false);
+                        if !cached {
+                            null_time = start.elapsed();
+                        }
+                        (stats, cached)
                     }
-                    null_entry.last_used.store(self.tick(), Relaxed);
-                    Some(null_entry.stats.clone())
-                } else {
-                    self.null_hits.fetch_add(1, Relaxed);
-                    null_cached = Some(true);
-                    let null_entry = cell.get().expect("null cell is full above");
-                    null_entry.last_used.store(self.tick(), Relaxed);
-                    Some(null_entry.stats.clone())
-                }
+                };
+                null_cached = Some(cached);
+                Some(stats)
             }
         };
         ctx.null = null_stats.as_deref();
 
-        // Decision stage: cheap, never cached (it depends on α and metric).
+        // Decision stage: cheap once the artifacts exist.  A holdout's
+        // screen is looked up (and built on a miss) here, so its cost lands
+        // in the correct time as it always has.
         cancel.check()?;
         let start = Instant::now();
+        let mut holdout_cached = None;
+        let screen: Option<Arc<HoldoutScreen>> = match query.holdout_key() {
+            None => None,
+            Some(key) => {
+                let holdout = RandomHoldout::from_mining(query.seed, &query.mining);
+                let (screen, cached) = self.holdouts.get_or_fill(key, &self.clock, || {
+                    holdout.screen(self.shared.dataset(), cancel)
+                })?;
+                holdout_cached = Some(cached);
+                Some(screen)
+            }
+        };
+        ctx.holdout = screen.as_deref();
         let result = correction.apply(&ctx);
         let correct_time = start.elapsed();
 
@@ -1045,44 +944,34 @@ impl Engine {
             },
             mined_cached,
             null_cached,
+            holdout_cached,
         })
     }
 
     /// A snapshot of the cache state and hit counters.
     pub fn stats(&self) -> EngineStats {
-        let mined = self.mined.lock().expect("mine cache lock");
-        let table_bytes = mined
-            .values()
-            .filter_map(|cell| cell.get())
-            .map(|e| e.tables_bytes())
-            .sum();
-        let rule_set_bytes = mined
-            .values()
-            .filter_map(|cell| cell.get())
-            .map(|e| e.mined_bytes)
-            .sum();
-        let nulls = self.nulls.lock().expect("null cache lock");
-        let null_bytes = nulls
-            .values()
-            .filter_map(|cell| cell.get())
-            .map(|e| e.stats.resident_bytes())
-            .sum();
+        let rule_sets = self.mined.values();
         let kernel_counters = sigrule_data::kernel::counters();
         let shard = crate::correction::permutation::shard_counters::counters();
         EngineStats {
             queries: self.queries.load(Relaxed),
-            mine_hits: self.mine_hits.load(Relaxed),
-            mine_misses: self.mine_misses.load(Relaxed),
-            null_hits: self.null_hits.load(Relaxed),
-            null_misses: self.null_misses.load(Relaxed),
+            mine_hits: self.mined.hits(),
+            mine_misses: self.mined.misses(),
+            null_hits: self.nulls.hits(),
+            null_misses: self.nulls.misses(),
+            holdout_hits: self.holdouts.hits(),
+            holdout_misses: self.holdouts.misses(),
             cancelled_queries: self.cancelled_queries.load(Relaxed),
-            cached_rule_sets: mined.len(),
-            cached_nulls: nulls.len(),
-            table_bytes,
-            rule_set_bytes,
-            null_bytes,
-            evicted_rule_sets: self.evicted_rule_sets.load(Relaxed),
-            evicted_nulls: self.evicted_nulls.load(Relaxed),
+            cached_rule_sets: self.mined.len(),
+            cached_nulls: self.nulls.len(),
+            cached_holdouts: self.holdouts.len(),
+            table_bytes: rule_sets.iter().map(|e| e.tables_bytes()).sum(),
+            rule_set_bytes: rule_sets.iter().map(|e| e.mined_bytes).sum(),
+            null_bytes: self.nulls.values().iter().map(|n| n.bytes()).sum(),
+            holdout_bytes: self.holdouts.values().iter().map(|h| h.bytes()).sum(),
+            evicted_rule_sets: self.mined.evicted(),
+            evicted_nulls: self.nulls.evicted(),
+            evicted_holdouts: self.holdouts.evicted(),
             kernel: kernel_counters.kernel,
             batched_sweeps: kernel_counters.batched_sweeps,
             per_perm_sweeps: kernel_counters.per_perm_sweeps,
@@ -1093,37 +982,31 @@ impl Engine {
         }
     }
 
-    /// Total approximate resident cache bytes (rule sets + tables + nulls) —
-    /// what a byte-budget eviction policy bounds.  Entries still being filled
-    /// by a concurrent query are not counted (their size is unknown until the
-    /// fill completes).
+    /// Total approximate resident cache bytes (rule sets + tables + nulls +
+    /// holdout screens) — what a byte-budget eviction policy bounds.
+    /// Entries still being filled by a concurrent query are not counted
+    /// (their size is unknown until the fill completes).
     pub fn cache_bytes(&self) -> usize {
         self.stats().resident_bytes()
+    }
+
+    /// Every cache, locked, in a fixed order (so two multi-cache passes
+    /// can never deadlock).
+    fn lock_caches(&self) -> [Box<dyn LockedCache + '_>; 3] {
+        [
+            self.mined.locked(),
+            self.nulls.locked(),
+            self.holdouts.locked(),
+        ]
     }
 
     /// The filled, evictable cache entries: kind, approximate bytes, and LRU
     /// stamp each.  Entries still being filled are skipped.
     pub fn cache_entries(&self) -> Vec<CacheEntry> {
-        let mut entries = Vec::new();
-        for cell in self.mined.lock().expect("mine cache lock").values() {
-            if let Some(e) = cell.get() {
-                entries.push(CacheEntry {
-                    kind: CacheEntryKind::RuleSet,
-                    bytes: e.bytes(),
-                    last_used: e.last_used.load(Relaxed),
-                });
-            }
-        }
-        for cell in self.nulls.lock().expect("null cache lock").values() {
-            if let Some(e) = cell.get() {
-                entries.push(CacheEntry {
-                    kind: CacheEntryKind::Null,
-                    bytes: e.stats.resident_bytes(),
-                    last_used: e.last_used.load(Relaxed),
-                });
-            }
-        }
-        entries
+        self.lock_caches()
+            .iter()
+            .flat_map(|cache| cache.entries())
+            .collect()
     }
 
     /// The LRU stamp of the least-recently-used filled cache entry, or
@@ -1133,55 +1016,24 @@ impl Engine {
     }
 
     /// Evicts the least-recently-used filled cache entry (a mined rule set —
-    /// with its tables — or a permutation null) and returns what was
-    /// dropped.  Queries holding an `Arc` to the evicted artifact keep it
-    /// alive until they finish; a later identical query recomputes it,
-    /// bit-identically (the caches never change semantics, only cost).
+    /// with its tables —, a permutation null or a holdout screen) and
+    /// returns what was dropped.  Queries holding an `Arc` to the evicted
+    /// artifact keep it alive until they finish; a later identical query
+    /// recomputes it, bit-identically (the caches never change semantics,
+    /// only cost).
     pub fn evict_lru(&self) -> Option<CacheEntry> {
-        // Decide between the LRU rule set and the LRU null under both locks,
-        // so a concurrent toucher cannot slip between the choice and the
-        // removal.
-        let mut mined = self.mined.lock().expect("mine cache lock");
-        let mut nulls = self.nulls.lock().expect("null cache lock");
-        let lru_mine = mined
-            .iter()
-            .filter_map(|(k, cell)| cell.get().map(|e| (*k, e.last_used.load(Relaxed))))
-            .min_by_key(|&(_, stamp)| stamp);
-        let lru_null = nulls
-            .iter()
-            .filter_map(|(k, cell)| cell.get().map(|e| (*k, e.last_used.load(Relaxed))))
-            .min_by_key(|&(_, stamp)| stamp);
-        let mine_is_lru = match (lru_mine, lru_null) {
-            (None, None) => return None,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some((_, m)), Some((_, n))) => m <= n,
-        };
-        let evicted = if mine_is_lru {
-            let (key, stamp) = lru_mine.expect("checked above");
-            let cell = mined.remove(&key).expect("key taken under the lock");
-            let entry = cell.get().expect("filtered to filled cells");
-            self.evicted_rule_sets.fetch_add(1, Relaxed);
-            CacheEntry {
-                kind: CacheEntryKind::RuleSet,
-                bytes: entry.bytes(),
-                last_used: stamp,
-            }
-        } else {
-            let (key, stamp) = lru_null.expect("checked above");
-            let cell = nulls.remove(&key).expect("key taken under the lock");
-            let entry = cell.get().expect("filtered to filled cells");
-            self.evicted_nulls.fetch_add(1, Relaxed);
-            CacheEntry {
-                kind: CacheEntryKind::Null,
-                bytes: entry.stats.resident_bytes(),
-                last_used: stamp,
-            }
-        };
-        let kind = match evicted.kind {
-            CacheEntryKind::RuleSet => "rule_set",
-            CacheEntryKind::Null => "null",
-        };
+        // Choose and remove under every cache lock, so a concurrent filler
+        // cannot slip between the choice and the removal.
+        let mut caches = self.lock_caches();
+        let (_, victim) = caches
+            .iter_mut()
+            .filter_map(|cache| {
+                let stamp = cache.entries().iter().map(|e| e.last_used).min()?;
+                Some((stamp, cache))
+            })
+            .min_by_key(|&(stamp, _)| stamp)?;
+        let evicted = victim.evict_lru()?;
+        let kind = evicted.kind.label();
         crate::obs_metrics::cache_evictions_total(&self.label, kind).inc();
         sigrule_obs::log::debug(
             "sigrule::engine",
@@ -1198,6 +1050,7 @@ impl Engine {
 
 #[cfg(test)]
 mod tests {
+    use super::cache::FillCell;
     use super::*;
     use crate::pipeline::Pipeline;
     use sigrule_synth::{SyntheticGenerator, SyntheticParams};

@@ -31,16 +31,16 @@ pub fn queries_cancelled_total(dataset: &str) -> Counter {
     )
 }
 
-/// Cache hits by dataset and cache (`mine` or `null`).
+/// Cache hits by dataset and cache (`mine`, `null` or `holdout`).
 pub fn cache_hits_total(dataset: &str, cache: &str) -> Counter {
     metrics::counter(
         "sigrule_cache_hits_total",
-        "Engine cache hits, by cache (mine = rule sets, null = permutation nulls).",
+        "Engine cache hits, by cache (mine = rule sets, null = permutation nulls, holdout = holdout screens).",
         &[("dataset", dataset), ("cache", cache)],
     )
 }
 
-/// Cache misses by dataset and cache (`mine` or `null`).
+/// Cache misses by dataset and cache (`mine`, `null` or `holdout`).
 pub fn cache_misses_total(dataset: &str, cache: &str) -> Counter {
     metrics::counter(
         "sigrule_cache_misses_total",
@@ -49,7 +49,8 @@ pub fn cache_misses_total(dataset: &str, cache: &str) -> Counter {
     )
 }
 
-/// Cache evictions by dataset and entry kind (`rule_set` or `null`).
+/// Cache evictions by dataset and entry kind (`rule_set`, `null` or
+/// `holdout`).
 pub fn cache_evictions_total(dataset: &str, kind: &str) -> Counter {
     metrics::counter(
         "sigrule_cache_evictions_total",
@@ -72,7 +73,7 @@ pub fn query_phase_seconds(dataset: &str, phase: &str) -> Histogram {
 pub fn cache_resident_bytes(dataset: &str) -> Gauge {
     metrics::gauge(
         "sigrule_cache_resident_bytes",
-        "Approximate bytes held by the engine caches (rule sets + tables + nulls).",
+        "Approximate bytes held by the engine caches (rule sets + tables + nulls + holdout screens).",
         &[("dataset", dataset)],
     )
 }

@@ -1254,4 +1254,176 @@ beer label:weekend
         }
         assert!(detect_format("/nonexistent/sigrule.unknown").is_err());
     }
+
+    /// Fragments the loader fuzzers splice together: separators, quotes,
+    /// line breaks, label tokens, numeric edge cases, a byte-order mark and
+    /// bytes that are not UTF-8.
+    const HOSTILE_FRAGMENTS: &[&[u8]] = &[
+        b",",
+        b"\t",
+        b";",
+        b" ",
+        b"\"",
+        b"\"\"",
+        b"\n",
+        b"\r\n",
+        b"\r",
+        b"a",
+        b"b",
+        b"x y",
+        b"1",
+        b"-2.5",
+        b"1e308",
+        b"-1e308",
+        b"inf",
+        b"-inf",
+        b"NaN",
+        b"?",
+        b"",
+        b"label:",
+        b"label:a",
+        b"label:b",
+        b"label:label:",
+        b"#",
+        b"\xef\xbb\xbf",
+        b"\xff",
+        b"\xc3",
+        b"\xe2\x82",
+        b"\0",
+        b"\xf0\x9f\x92\xa9",
+    ];
+
+    fn hostile_input(picks: &[usize]) -> Vec<u8> {
+        picks
+            .iter()
+            .flat_map(|&i| {
+                HOSTILE_FRAGMENTS[i % HOSTILE_FRAGMENTS.len()]
+                    .iter()
+                    .copied()
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(400))]
+
+        /// Malformed CSV — ragged rows, stray and unterminated quotes,
+        /// invalid UTF-8, numeric edge cases — loads or errors, never
+        /// panics, under every quoting, header and class-column option.
+        #[test]
+        fn hostile_csv_input_never_panics(
+            picks in proptest::prop::collection::vec(0usize..64, 0..120),
+            header in 0usize..2,
+            quote in 0usize..2,
+            class_column in 0usize..4,
+            tsv in 0usize..2,
+        ) {
+            let mut options = if tsv == 1 { LoadOptions::tsv() } else { LoadOptions::default() };
+            options.has_header = header == 1;
+            if quote == 0 {
+                options.quote = None;
+            }
+            if class_column < 3 {
+                options.class_column = Some(class_column);
+            }
+            let input = hostile_input(&picks);
+            if let Ok(dataset) = load_csv_reader(&input[..], &options) {
+                proptest::prop_assert!(dataset.n_records() > 0);
+                proptest::prop_assert!(dataset.n_classes() >= 2);
+            }
+        }
+
+        /// Malformed basket input — lone or conflicting `label:` tokens,
+        /// comment and blank lines, invalid UTF-8 — loads (possibly with
+        /// warnings) or errors, never panics.
+        #[test]
+        fn hostile_basket_input_never_panics(
+            picks in proptest::prop::collection::vec(0usize..64, 0..120),
+            default_class in 0usize..2,
+        ) {
+            let mut options = BasketOptions::default();
+            if default_class == 1 {
+                options = options.with_default_class("rest");
+            }
+            let input = hostile_input(&picks);
+            if let Ok(load) = load_baskets_reader(&input[..], &options) {
+                proptest::prop_assert!(load.dataset.n_records() > 0);
+                proptest::prop_assert!(load.dataset.n_classes() >= 2);
+            }
+        }
+    }
+
+    /// A lone `label:` token names no class: a line-numbered parse error.
+    /// A line whose only token is a label is kept with a warning.
+    #[test]
+    fn hostile_lone_label_token() {
+        let options = BasketOptions::default();
+        match load_baskets_str("a label:x\nlabel:\n", &options) {
+            Err(DataError::Parse { line, .. }) => assert_eq!(line, 2),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        let load = load_baskets_str("a label:x\nlabel:y\n", &options).unwrap();
+        assert_eq!(load.dataset.n_records(), 2);
+        assert_eq!(load.warnings.len(), 1);
+        assert_eq!(load.warnings[0].line, 2);
+        assert!(load_baskets_str("label:\n", &options).is_err());
+        assert!(load_csv_str("label:\n", &LoadOptions::default()).is_err());
+    }
+
+    /// Bytes that are not UTF-8 are an i/o error naming the problem, in
+    /// either format, whatever line they sit on.
+    #[test]
+    fn hostile_invalid_utf8_is_an_error() {
+        for input in [
+            &b"a,b\n1,\xff\n2,y\n"[..],
+            &b"\xc3\n"[..],
+            &b"a,b\n1,x\n2,y\n3,\xe2\x82"[..],
+        ] {
+            let csv = load_csv_reader(input, &LoadOptions::default());
+            assert!(matches!(csv, Err(DataError::Io { .. })), "{csv:?}");
+        }
+        for input in [
+            &b"a label:x\n\xff label:y\n"[..],
+            &b"\xc3\n"[..],
+            &b"a label:x\nb label:y\nlabel:\xe2\x82"[..],
+        ] {
+            let baskets = load_baskets_reader(input, &BasketOptions::default());
+            assert!(matches!(baskets, Err(DataError::Io { .. })), "{baskets:?}");
+        }
+    }
+
+    /// Numeric columns of infinities, extreme magnitudes or nothing but
+    /// `NaN` load or error, never panic.
+    #[test]
+    fn hostile_numeric_edge_columns() {
+        for text in [
+            "a,c\nNaN,x\nNaN,y\n",
+            "a,c\ninf,x\n-inf,y\n1e308,x\n-1e308,y\n",
+            "a,c\ninf,x\ninf,y\n",
+            "a,c\n1e-320,x\n0,y\n-0,x\n",
+        ] {
+            if let Ok(dataset) = load_csv_str(text, &LoadOptions::default()) {
+                assert!(dataset.n_records() > 0, "{text:?}");
+            }
+        }
+    }
+
+    /// Multi-megabyte fields and tokens load (as one long value) or error;
+    /// an unterminated multi-megabyte quote is a parse error.
+    #[test]
+    fn hostile_multi_megabyte_fields() {
+        let long = "z".repeat(3 << 20);
+        let csv = format!("a,class\n{long},x\n\"{long}\",y\n");
+        let dataset = load_csv_str(&csv, &LoadOptions::default()).unwrap();
+        assert_eq!(dataset.n_records(), 2);
+        let unterminated = format!("a,class\n\"{long},x\n1,y\n");
+        assert!(matches!(
+            load_csv_str(&unterminated, &LoadOptions::default()),
+            Err(DataError::Parse { line: 2, .. })
+        ));
+        let baskets = format!("{long} label:x\nb label:y\nlabel:{long}\n");
+        let load = load_baskets_str(&baskets, &BasketOptions::default()).unwrap();
+        assert_eq!(load.dataset.n_records(), 3);
+        assert_eq!(load.dataset.n_classes(), 3);
+    }
 }

@@ -666,14 +666,19 @@ fn engine_stats_fields(resp: &mut ObjectBuilder, engine: &Engine) {
         .number("mine_misses", stats.mine_misses as f64)
         .number("null_hits", stats.null_hits as f64)
         .number("null_misses", stats.null_misses as f64)
+        .number("holdout_hits", stats.holdout_hits as f64)
+        .number("holdout_misses", stats.holdout_misses as f64)
         .number("cached_rule_sets", stats.cached_rule_sets as f64)
         .number("cached_nulls", stats.cached_nulls as f64)
+        .number("cached_holdouts", stats.cached_holdouts as f64)
         .number("rule_set_bytes", stats.rule_set_bytes as f64)
         .number("table_bytes", stats.table_bytes as f64)
         .number("null_bytes", stats.null_bytes as f64)
+        .number("holdout_bytes", stats.holdout_bytes as f64)
         .number("resident_bytes", stats.resident_bytes() as f64)
         .number("evicted_rule_sets", stats.evicted_rule_sets as f64)
         .number("evicted_nulls", stats.evicted_nulls as f64)
+        .number("evicted_holdouts", stats.evicted_holdouts as f64)
         .string("kernel", stats.kernel)
         .number("batched_sweeps", stats.batched_sweeps as f64)
         .number("per_perm_sweeps", stats.per_perm_sweeps as f64)
@@ -706,6 +711,7 @@ fn handle_registry_stats(state: &ServerState, req: &Json) -> Result<ObjectBuilde
     let mut total = 0usize;
     let mut evicted_rule_sets = 0u64;
     let mut evicted_nulls = 0u64;
+    let mut evicted_holdouts = 0u64;
     let datasets: Vec<String> = registry
         .snapshot()
         .iter()
@@ -713,6 +719,7 @@ fn handle_registry_stats(state: &ServerState, req: &Json) -> Result<ObjectBuilde
             total += snap.stats.resident_bytes();
             evicted_rule_sets += snap.stats.evicted_rule_sets;
             evicted_nulls += snap.stats.evicted_nulls;
+            evicted_holdouts += snap.stats.evicted_holdouts;
             let mut obj = ObjectBuilder::new();
             obj.string("name", &snap.name);
             engine_stats_fields(&mut obj, &snap.engine);
@@ -730,7 +737,8 @@ fn handle_registry_stats(state: &ServerState, req: &Json) -> Result<ObjectBuilde
     };
     resp.number("evictions", registry.evictions() as f64)
         .number("evicted_rule_sets", evicted_rule_sets as f64)
-        .number("evicted_nulls", evicted_nulls as f64);
+        .number("evicted_nulls", evicted_nulls as f64)
+        .number("evicted_holdouts", evicted_holdouts as f64);
     // The PR 9 process-wide shard counters, at the registry level where a
     // fleet operator looks for them (they are not per-dataset quantities).
     let shard = sigrule::correction::permutation::shard_counters::counters();
@@ -758,8 +766,11 @@ fn sync_metrics(state: &ServerState) {
         m::cache_misses_total(name, "mine").force(stats.mine_misses);
         m::cache_hits_total(name, "null").force(stats.null_hits);
         m::cache_misses_total(name, "null").force(stats.null_misses);
+        m::cache_hits_total(name, "holdout").force(stats.holdout_hits);
+        m::cache_misses_total(name, "holdout").force(stats.holdout_misses);
         m::cache_evictions_total(name, "rule_set").force(stats.evicted_rule_sets);
         m::cache_evictions_total(name, "null").force(stats.evicted_nulls);
+        m::cache_evictions_total(name, "holdout").force(stats.evicted_holdouts);
         m::cache_resident_bytes(name).set(stats.resident_bytes() as f64);
         for phase in ["mine", "null", "correct"] {
             // Registration only: the histograms fill as queries run.
@@ -1065,6 +1076,71 @@ pub(crate) mod tests {
         let (resp, shutdown) = handle_line(&state, r#"{"cmd":"shutdown"}"#);
         assert!(shutdown);
         ok(&resp);
+    }
+
+    /// A re-asked holdout decides from the cached screen: the answer is
+    /// unchanged (no new response field tells a warm holdout from a cold
+    /// one), and `stats`, `registry_stats` and the metrics scrape count the
+    /// hit.  The FWER and FDR asks share one screen.
+    #[test]
+    fn holdout_asks_share_one_cached_screen() {
+        // A dataset name of its own: the metrics registry is process-wide.
+        let state = ServerState::new();
+        let path = fixture_path();
+        let (resp, _) = handle_line(
+            &state,
+            &format!(r#"{{"cmd":"load","path":"{path}","name":"hs"}}"#),
+        );
+        ok(&resp);
+        let fwer =
+            r#"{"cmd":"correct","dataset":"hs","min_sup":8,"correction":"holdout","seed":3}"#;
+        let (cold, _) = handle_line(&state, fwer);
+        let (warm, _) = handle_line(&state, fwer);
+        let strip = |resp: &str| {
+            let mut doc = ok(resp);
+            if let Json::Object(fields) = &mut doc {
+                fields.retain(|(k, _)| !k.ends_with("_ms") && k != "mined_cached");
+            }
+            doc
+        };
+        assert_eq!(strip(&warm), strip(&cold));
+        assert!(!cold.contains("holdout_cached"), "{cold}");
+        let fdr = r#"{"cmd":"correct","dataset":"hs","min_sup":8,"correction":"holdout","metric":"fdr","seed":3}"#;
+        let (resp, _) = handle_line(&state, fdr);
+        ok(&resp);
+
+        let (resp, _) = handle_line(&state, r#"{"cmd":"stats","dataset":"hs"}"#);
+        let stats = ok(&resp);
+        let field = |k: &str| stats.get(k).and_then(Json::as_u64);
+        assert_eq!(field("holdout_misses"), Some(1));
+        assert_eq!(field("holdout_hits"), Some(2));
+        assert_eq!(field("cached_holdouts"), Some(1));
+        assert!(field("holdout_bytes").unwrap() > 0);
+        assert_eq!(field("evicted_holdouts"), Some(0));
+        assert_eq!(field("mine_misses"), Some(1));
+        assert_eq!(field("mine_hits"), Some(2));
+        assert_eq!(field("null_misses"), Some(0));
+
+        let (resp, _) = handle_line(&state, r#"{"cmd":"registry_stats"}"#);
+        let registry = ok(&resp);
+        assert_eq!(
+            registry.get("evicted_holdouts").and_then(Json::as_u64),
+            Some(0)
+        );
+        let (resp, _) = handle_line(&state, r#"{"cmd":"metrics"}"#);
+        let body = ok(&resp)
+            .get("body")
+            .and_then(Json::as_str)
+            .expect("exposition body")
+            .to_string();
+        assert!(
+            body.contains(r#"sigrule_cache_hits_total{cache="holdout",dataset="hs"} 2"#),
+            "{body}"
+        );
+        assert!(
+            body.contains(r#"sigrule_cache_misses_total{cache="holdout",dataset="hs"} 1"#),
+            "{body}"
+        );
     }
 
     #[test]
@@ -1377,6 +1453,7 @@ pub(crate) mod tests {
         for field in [
             "evicted_rule_sets",
             "evicted_nulls",
+            "evicted_holdouts",
             "shards_local",
             "shards_remote",
             "shard_retries",

@@ -315,7 +315,7 @@ mod tests {
         let evicted: u64 = registry
             .snapshot()
             .iter()
-            .map(|s| s.stats.evicted_rule_sets + s.stats.evicted_nulls)
+            .map(|s| s.stats.evicted_rule_sets + s.stats.evicted_nulls + s.stats.evicted_holdouts)
             .sum();
         assert_eq!(evicted, registry.evictions());
     }
